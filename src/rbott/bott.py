@@ -274,10 +274,9 @@ def generators(A: BottMatrix) -> list[AffineIsometry]:
     """
     n = A.n
     gens = []
-    for i in range(1, n + 1):
-        signs = tuple(
-            -1 if k > i and A.entry(i, k) else 1 for k in range(1, n + 1)
-        )
-        trans = tuple(1 if k == i else 0 for k in range(1, n + 1))
+    for i, row in enumerate(A.rows):
+        # strictly upper triangular: row[k] is 0 for k <= i
+        signs = tuple(-1 if v else 1 for v in row)
+        trans = tuple(1 if k == i else 0 for k in range(n))
         gens.append(AffineIsometry(signs, trans))
     return gens

@@ -8,6 +8,7 @@ ranges, so worker counts never change the resulting counts.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -129,8 +130,10 @@ def run_census(
     """Classify every n x n Bott matrix; cross-validate theorem vs oracle.
 
     Deterministic: counts and mismatch lists do not depend on the
-    worker count.  Mismatch matrices are kept verbatim (capped at
-    MISMATCH_CAP with a truncation flag).
+    worker count, which is capped at ``os.cpu_count()``.  Mismatch
+    matrices are kept verbatim (capped at MISMATCH_CAP with a truncation
+    flag).  Dimensions whose counter does not fit the kernel's int64
+    range raise DimensionTooLarge before any work, whatever the ceiling.
     """
     if ceiling is None:
         ceiling = DEFAULT_ORACLE_CEILING if oracle else DEFAULT_THEOREM_CEILING
@@ -138,10 +141,12 @@ def run_census(
         raise ValueError("dimension must be >= 1")
     if n > ceiling:
         raise DimensionTooLarge(f"n={n} exceeds ceiling {ceiling}")
-    if oracle and n > _kernels.MAX_ORACLE_DIM:
+    if n > _kernels.MAX_DIM:
         raise DimensionTooLarge(
-            f"oracle path is limited to n <= {_kernels.MAX_ORACLE_DIM}"
+            f"n={n} has 2^{free_bit_count(n)} matrices; the census counter "
+            f"is limited to n <= {_kernels.MAX_DIM}"
         )
+    workers = min(workers, os.cpu_count() or 1)
 
     start = time.perf_counter()
     ranges = partition_space(n, workers)
@@ -156,8 +161,8 @@ def run_census(
     if len(ranges) == 1:
         results = [shard(ranges[0])]
     else:
-        # The numba kernel releases the GIL, so threads shard cleanly;
-        # shard results are merged in range order regardless.
+        # Shard results are merged in range order, so the thread
+        # schedule cannot change the counts or the mismatch order.
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(shard, ranges))
 

@@ -12,7 +12,9 @@ exposes the cohomological spin test via degree-2 ideal membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 from .f2poly import (
     Deg2Vector,
@@ -98,24 +100,29 @@ class PMatrix:
 
 
 def _row_subset_sums(E: PMatrix):
+    """Every nonempty row-subset sum, smallest subsets first.
+
+    Entries add in F2^2 (xor of 0..3), so a row packed two bits per
+    column (column j at bits 2j, 2j+1) sums by integer xor.
+    """
+    packed = [sum(v << 2 * j for j, v in enumerate(row)) for row in E.entries]
     for size in range(1, E.d + 1):
-        for subset in combinations(range(E.d), size):
-            sums = [0] * E.n
-            for i in subset:
-                row = E.entries[i]
-                for j in range(E.n):
-                    sums[j] ^= row[j]
-            yield sums
+        for subset in combinations(packed, size):
+            yield reduce(xor, subset)
 
 
 def is_free_action(E: PMatrix) -> bool:
     """Action has no fixed points: every nonempty row-subset sum contains a 1."""
-    return all(1 in s for s in _row_subset_sums(E))
+    low = int("01" * E.n, 2)  # the low bit of every column's digit
+    # a digit is 1 when its low bit is set and its high bit clear
+    return all(s & ~(s >> 1) & low for s in _row_subset_sums(E))
 
 
 def has_full_holonomy(E: PMatrix) -> bool:
     """Whole group acts as holonomy: every row-subset sum contains a 2 or 3."""
-    return all(2 in s or 3 in s for s in _row_subset_sums(E))
+    low = int("01" * E.n, 2)
+    # a digit is 2 or 3 when its high bit is set
+    return all((s >> 1) & low for s in _row_subset_sums(E))
 
 
 def class_alpha_j(E: PMatrix, j: int) -> F2Polynomial:

@@ -1,8 +1,11 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
-from rbott import _kernels
-from rbott.bott import is_kahler, spin_main_theorem, spin_oracle, to_pmatrix
+from rbott import _kernels, census
+from rbott.bott import BottMatrix, is_kahler, spin_main_theorem, spin_oracle, to_pmatrix
 from rbott.census import (
     MISMATCH_CAP,
     CensusReport,
@@ -14,7 +17,7 @@ from rbott.census import (
     partition_space,
     run_census,
 )
-from rbott.pmatrix import sw_data
+from rbott.pmatrix import is_orientable, sw_data
 
 
 class TestEnumeration:
@@ -122,6 +125,12 @@ class TestCensusCounts:
             report.orientable_count,
         ) == (kahler, spin, oracle_kahler, oracle_all, orientable)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_orientable_count_closed_form(self, n):
+        # row a has n - a free entries, one of them fixed by parity
+        expected = 1 << sum(max(n - a - 1, 0) for a in range(1, n + 1))
+        assert run_census(n, oracle=False).orientable_count == expected
+
     def test_no_oracle_path(self):
         report = run_census(4, oracle=False)
         assert report.kahler_count == 6
@@ -160,24 +169,140 @@ class TestDeterminism:
         assert json.dumps(a) == json.dumps(b)
 
 
-class TestKernelBackends:
-    def test_pure_impl_matches_active_backend(self):
-        # The un-jitted implementation is the fallback path; it must
-        # produce identical counts and mismatch lists.
-        for n in (2, 3, 4, 5):
-            total = 1 << free_bit_count(n)
-            mis_a = np.zeros(MISMATCH_CAP, dtype=np.int64)
-            mis_b = np.zeros(MISMATCH_CAP, dtype=np.int64)
-            counts_a, na = _kernels.census_range(n, 0, total, True, mis_a, MISMATCH_CAP)
-            counts_b, nb = _kernels._census_range_impl(
-                n, 0, total, True, mis_b, MISMATCH_CAP
-            )
-            assert list(counts_a) == list(counts_b)
-            assert na == nb == 0
+def _random_orientable_index(n, rng):
+    """Counter value of a random matrix whose rows all have even weight."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            rows[i][j] = rng.getrandbits(1)
+        rows[i][n - 1] ^= sum(rows[i]) % 2
+    return index_of(BottMatrix(tuple(map(tuple, rows))))
 
+
+def _random_kahler_index(n, rng):
+    """Counter value of a random matrix whose columns pair up as equals."""
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = [[0] * n for _ in range(n)]
+    for j, k in zip(order[::2], order[1::2]):
+        value = rng.getrandbits(min(j, k))
+        for i in range(min(j, k)):
+            rows[i][j] = rows[i][k] = (value >> i) & 1
+    return index_of(BottMatrix(tuple(map(tuple, rows))))
+
+
+def _referee_counts(n, indices):
+    """The kernel's counts layout, recounted by the per-matrix functions."""
+    counts = [0] * _kernels.N_COUNTS
+    for idx in indices:
+        A = matrix_from_index(n, idx)
+        oracle = spin_oracle(A)
+        counts[_kernels.IDX_SPIN_ORACLE_ALL] += oracle
+        counts[_kernels.IDX_ORIENTABLE] += is_orientable(to_pmatrix(A))
+        if is_kahler(A):
+            theorem = spin_main_theorem(A)
+            counts[_kernels.IDX_KAHLER] += 1
+            counts[_kernels.IDX_SPIN_THEOREM] += theorem
+            counts[_kernels.IDX_SPIN_ORACLE_KAHLER] += oracle
+            counts[_kernels.IDX_MISMATCH] += theorem != oracle
+    return counts
+
+
+def _kernel_counts(n, lo, hi):
+    mis = np.zeros(MISMATCH_CAP, dtype=np.int64)
+    counts, n_mis = _kernels.census_range(n, lo, hi, True, mis, MISMATCH_CAP)
+    assert n_mis == 0
+    return counts.tolist()
+
+
+class TestKernelReferee:
+    """census_range against the generic per-matrix referee."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_referee_exhaustively(self, n):
+        total = 1 << free_bit_count(n)
+        assert _kernel_counts(n, 0, total) == _referee_counts(n, range(total))
+
+    @pytest.mark.parametrize("n,seed", [(7, 1), (7, 2), (8, 1), (8, 2), (8, 3)])
+    def test_matches_referee_on_seeded_windows(self, n, seed):
+        # Windows around a Kähler matrix (even n) or an orientable one
+        # (odd n) are dense in the cases the kernel treats specially.
+        rng = random.Random(seed)
+        pick = _random_kahler_index if n % 2 == 0 else _random_orientable_index
+        lo = max(pick(n, rng) - 64, 0)
+        window = range(lo, lo + 128)
+        assert _kernel_counts(n, window.start, window.stop) == _referee_counts(n, window)
+
+    def test_split_ranges_sum_to_whole(self):
+        # Range ends that are not batch-aligned must neither drop nor
+        # double-count any counter value.
+        rng = random.Random(6)
+        total = 1 << free_bit_count(6)
+        cuts = sorted(rng.sample(range(1, total), 9))
+        pieces = zip([0] + cuts, cuts + [total])
+        summed = np.sum([_kernel_counts(6, lo, hi) for lo, hi in pieces], axis=0)
+        assert summed.tolist() == _kernel_counts(6, 0, total)
+
+
+class TestKernelBackends:
     def test_backend_reported(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-        assert run_census(2).backend == _kernels.BACKEND
+        assert _kernels.BACKEND == "numpy"
+        assert run_census(2).backend == "numpy"
+
+
+class TestMismatchPath:
+    def test_negated_theorem_reports_every_kahler_matrix(self, monkeypatch):
+        theorem = _kernels._spin_theorem
+        monkeypatch.setattr(_kernels, "_spin_theorem", lambda *a: ~theorem(*a))
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        kahler = (A for A in enumerate_bott(6) if is_kahler(A))
+        first = [A.to_text() for A in itertools.islice(kahler, MISMATCH_CAP)]
+        reports = [run_census(6, workers=workers) for workers in (1, 2)]
+        for report in reports:
+            assert report.mismatch_count == 192
+            assert report.mismatch_truncated
+            assert report.mismatches == first
+        assert reports[0].mismatches == reports[1].mismatches
+
+
+class TestBoundedWork:
+    def test_counter_limit_overrides_ceiling(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("kernel started")
+
+        monkeypatch.setattr(_kernels, "census_range", no_work)
+        for kwargs in ({"oracle": False}, {"oracle": False, "ceiling": 99}, {"ceiling": 99}):
+            with pytest.raises(DimensionTooLarge):
+                run_census(12, **kwargs)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        pools = []
+
+        class RecordingExecutor:
+            """Runs shards inline and records the requested pool size."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(census, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+        capped = run_census(6, workers=10**6).to_dict()
+        assert pools == [3]
+        assert capped.pop("workers") == 3
+        reference = run_census(6, workers=1).to_dict()
+        reference.pop("workers")
+        capped.pop("elapsed")
+        reference.pop("elapsed")
+        assert capped == reference
 
 
 class TestReportShape:

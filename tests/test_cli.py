@@ -151,6 +151,13 @@ class TestCensusCommand:
         code, _, err = run(capsys, "census", "--dim", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--ceiling", "99"]])
+    def test_counter_overflow_rejected(self, capsys, extra):
+        code, out, err = run(capsys, "census", "--dim", "12", "--no-oracle", *extra)
+        assert code == 2
+        assert out == ""
+        assert "n <= 11" in err
+
 
 class TestVerify:
     def test_paper(self, capsys, paper_example_file):
