@@ -62,14 +62,14 @@ def _fmt_tri(value) -> str:
 
 def _check_fields(A: bott.BottMatrix) -> dict:
     kahler = bott.is_kahler(A)
-    E = bott.to_pmatrix(A)
+    data = pmx.sw_data(bott.to_pmatrix(A))
     fields = {
         "dimension": A.n,
         "strictly_upper": True,
         "kahler": kahler,
-        "orientable": pmx.is_orientable(E),
+        "orientable": data.w1.is_zero(),
         "spin_theorem": bott.spin_main_theorem(A) if kahler else None,
-        "spin_oracle": bott.spin_oracle(A),
+        "spin_oracle": pmx.is_spin(data),
         "reduced_row_sums": list(bott.reduce(A).row_sums) if kahler else None,
     }
     return fields
@@ -101,15 +101,11 @@ def cmd_check(args) -> int:
 
 def cmd_sw(args) -> int:
     A = _load_matrix(args)
-    E = bott.to_pmatrix(A)
-    data = pmx.sw_data(E)
-    space = pmx.characteristic_ideal_deg2(E)
+    data = pmx.sw_data(bott.to_pmatrix(A))
+    space = pmx.ideal_deg2(data)
     per_column = []
     lines = []
-    for j in range(1, E.n + 1):
-        a = pmx.class_alpha_j(E, j)
-        b = pmx.class_beta_j(E, j)
-        t = data.thetas[j - 1]
+    for j, (a, b, t) in enumerate(zip(data.alphas, data.betas, data.thetas), start=1):
         per_column.append(
             {"j": j, "alpha": str(a), "beta": str(b), "theta": str(t)}
         )
@@ -202,17 +198,16 @@ def cmd_verify(args) -> int:
     A = _load_matrix(args)
     if not bott.is_kahler(A):
         raise InputError("matrix is not Kähler; verify needs a column pairing")
-    E = bott.to_pmatrix(A)
-    data = pmx.sw_data(E)
+    data = pmx.sw_data(bott.to_pmatrix(A))
     reduced = bott.reduce(A)
     J = [i for i, s in enumerate(reduced.row_sums, start=1) if s == 1]
     theorem = bott.spin_main_theorem(A)
 
-    space = pmx.characteristic_ideal_deg2(E)
-    w2_vec = deg2_to_vector(data.w2, E.d)
+    space = pmx.ideal_deg2(data)
+    w2_vec = deg2_to_vector(data.w2, data.d)
     trace = space.reduction_trace(w2_vec)
     residual = space.reduce(w2_vec)
-    oracle = pmx.is_orientable(E) and residual.is_zero()
+    oracle = data.w1.is_zero() and residual.is_zero()
 
     lines = [
         f"row sums of reduced matrix: {''.join(str(s) for s in reduced.row_sums)}",

@@ -52,10 +52,29 @@ class Monomial:
         return sum(e for _, e in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for var, exp in other.exps:
-            merged[var] = merged.get(var, 0) + exp
-        return Monomial.from_dict(merged)
+        # Both factors are valid, so merging their sorted exponent tuples
+        # gives a valid product without going through from_dict.
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        la, lb = len(a), len(b)
+        merged = []
+        i = j = 0
+        while i < la and j < lb:
+            va, vb = a[i][0], b[j][0]
+            if va < vb:
+                merged.append(a[i])
+                i += 1
+            elif vb < va:
+                merged.append(b[j])
+                j += 1
+            else:
+                merged.append((va, a[i][1] + b[j][1]))
+                i += 1
+                j += 1
+        return Monomial(tuple(merged) + a[i:] + b[j:])
 
     def _sort_key(self):
         # Graded lex: ascending degree, then descending lexicographic with
@@ -73,6 +92,14 @@ class Monomial:
 ONE_MONOMIAL = Monomial(())
 
 
+def _toggle(acc: set[Monomial], m: Monomial) -> None:
+    """Add m to a sum over F2: a second copy cancels the first."""
+    if m in acc:
+        acc.remove(m)
+    else:
+        acc.add(m)
+
+
 @dataclass(frozen=True)
 class F2Polynomial:
     """Element of F2[x1, ..., xd] as a frozenset of monomials."""
@@ -84,7 +111,7 @@ class F2Polynomial:
         # Duplicate pairs cancel (characteristic 2).
         acc: set[Monomial] = set()
         for m in monomials:
-            acc.symmetric_difference_update({m})
+            _toggle(acc, m)
         return F2Polynomial(frozenset(acc))
 
     @staticmethod
@@ -116,7 +143,7 @@ class F2Polynomial:
         acc: set[Monomial] = set()
         for a in self.terms:
             for b in other.terms:
-                acc.symmetric_difference_update({a * b})
+                _toggle(acc, a * b)
         return F2Polynomial(frozenset(acc))
 
     def homogeneous_part(self, k: int) -> "F2Polynomial":
@@ -141,7 +168,7 @@ class F2Polynomial:
         for a in self.terms:
             for b in other.terms:
                 if a.degree + b.degree <= k:
-                    acc.symmetric_difference_update({a * b})
+                    _toggle(acc, a * b)
         return F2Polynomial(frozenset(acc))
 
     def __str__(self) -> str:

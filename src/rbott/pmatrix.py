@@ -17,9 +17,9 @@ from itertools import combinations
 from operator import xor
 
 from .f2poly import (
-    Deg2Vector,
     F2Polynomial,
     F2RowSpace,
+    Monomial,
     deg2_to_vector,
     poly_sum,
     row_space_membership,
@@ -125,48 +125,72 @@ def has_full_holonomy(E: PMatrix) -> bool:
     return all((s >> 1) & low for s in _row_subset_sums(E))
 
 
-def class_alpha_j(E: PMatrix, j: int) -> F2Polynomial:
-    col = E.column(j)
-    return poly_sum(
-        F2Polynomial.var(i + 1) for i, v in enumerate(col) if alpha_form(v)
+def _linear_form(col: tuple[int, ...], form) -> F2Polynomial:
+    """Sum of the x_i over the rows i where form(col[i - 1]) is 1."""
+    return F2Polynomial(
+        frozenset(Monomial(((i, 1),)) for i, v in enumerate(col, start=1) if form(v))
     )
+
+
+def class_alpha_j(E: PMatrix, j: int) -> F2Polynomial:
+    return _linear_form(E.column(j), alpha_form)
 
 
 def class_beta_j(E: PMatrix, j: int) -> F2Polynomial:
-    col = E.column(j)
-    return poly_sum(
-        F2Polynomial.var(i + 1) for i, v in enumerate(col) if beta_form(v)
-    )
+    return _linear_form(E.column(j), beta_form)
 
 
 def class_theta_j(E: PMatrix, j: int) -> F2Polynomial:
     return class_alpha_j(E, j) * class_beta_j(E, j)
 
 
+def _linear_classes(E: PMatrix):
+    """(alphas, betas): alpha_j and beta_j of every column j, in order."""
+    columns = range(1, E.n + 1)
+    return (
+        tuple(class_alpha_j(E, j) for j in columns),
+        tuple(class_beta_j(E, j) for j in columns),
+    )
+
+
 @dataclass(frozen=True)
 class SWData:
-    """Degree <= 2 Stiefel-Whitney data of the quotient manifold."""
+    """Degree <= 2 Stiefel-Whitney data of the quotient manifold.
 
+    The classes live in F2[x1, ..., xd]; alphas[j - 1], betas[j - 1] and
+    thetas[j - 1] belong to column j.
+    """
+
+    d: int
+    alphas: tuple[F2Polynomial, ...]
+    betas: tuple[F2Polynomial, ...]
     w1: F2Polynomial
     w2: F2Polynomial
     thetas: tuple[F2Polynomial, ...]
 
 
 def sw_data(E: PMatrix) -> SWData:
-    """w1 and w2 of the quotient plus the ideal generators theta_j.
+    """alpha_j, beta_j, w1 and w2 of the quotient, and the ideal generators theta_j.
 
-    Uses the elementary symmetric sums e1, e2 of c_j = alpha_j + beta_j
-    rather than expanding the full n-fold product.
+    Computes every alpha_j and beta_j once.  w2 comes from the
+    elementary symmetric sums e1, e2 of c_j = alpha_j + beta_j rather
+    than from expanding the full n-fold product.
     """
-    cs = [class_alpha_j(E, j) + class_beta_j(E, j) for j in range(1, E.n + 1)]
-    w1 = poly_sum(cs)
+    alphas, betas = _linear_classes(E)
     w2 = F2Polynomial.zero()
     prefix = F2Polynomial.zero()
-    for c in cs:
+    for a, b in zip(alphas, betas):
+        c = a + b
         w2 = w2 + prefix * c
         prefix = prefix + c
-    thetas = tuple(class_theta_j(E, j) for j in range(1, E.n + 1))
-    return SWData(w1=w1, w2=w2, thetas=thetas)
+    return SWData(
+        d=E.d,
+        alphas=alphas,
+        betas=betas,
+        w1=prefix,
+        w2=w2,
+        thetas=tuple(a * b for a, b in zip(alphas, betas)),
+    )
 
 
 def total_sw_class(E: PMatrix, max_degree: int) -> F2Polynomial:
@@ -180,29 +204,37 @@ def total_sw_class(E: PMatrix, max_degree: int) -> F2Polynomial:
     return acc
 
 
+def ideal_deg2(data: SWData) -> F2RowSpace:
+    """Degree-2 piece of the ideal generated by data.thetas, as a row space."""
+    return F2RowSpace([deg2_to_vector(t, data.d) for t in data.thetas], data.d)
+
+
+def w2_in_ideal(data: SWData) -> bool:
+    """w2 lies in the degree-2 span of the theta_j."""
+    return row_space_membership(ideal_deg2(data), deg2_to_vector(data.w2, data.d))
+
+
+def is_spin(data: SWData) -> bool:
+    """Cohomological spin test: w1 = 0 and w2 lies in the degree-2 ideal span."""
+    return data.w1.is_zero() and w2_in_ideal(data)
+
+
 def characteristic_ideal_deg2(E: PMatrix) -> F2RowSpace:
     """Degree-2 piece of the ideal generated by the theta_j, as a row space."""
-    vectors = [
-        deg2_to_vector(class_theta_j(E, j), E.d) for j in range(1, E.n + 1)
-    ]
-    return F2RowSpace(vectors, E.d)
+    return ideal_deg2(sw_data(E))
 
 
 def is_orientable(E: PMatrix) -> bool:
-    """True iff w1 vanishes."""
-    return sw_data(E).w1.is_zero()
+    """True iff w1 = sum_j (alpha_j + beta_j) vanishes; builds nothing of degree 2."""
+    alphas, betas = _linear_classes(E)
+    return poly_sum(a + b for a, b in zip(alphas, betas)).is_zero()
 
 
 def admits_spin_oracle(E: PMatrix, include_orientability: bool = True) -> bool:
-    """Cohomological spin test: w2 lies in the degree-2 ideal span.
+    """Cohomological spin test of the quotient of E.
 
-    With include_orientability (default) the quotient must also have
-    w1 = 0; the bare membership test is available for callers who want
-    only the ideal condition.
+    With include_orientability (default) this is is_spin; without it,
+    only the ideal condition w2_in_ideal is tested.
     """
     data = sw_data(E)
-    if include_orientability and not data.w1.is_zero():
-        return False
-    space = characteristic_ideal_deg2(E)
-    w2_vec = deg2_to_vector(data.w2, E.d)
-    return row_space_membership(space, w2_vec)
+    return is_spin(data) if include_orientability else w2_in_ideal(data)

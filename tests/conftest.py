@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from rbott.bott import BottMatrix
@@ -31,3 +33,17 @@ def paper_example_file(tmp_path):
     path = tmp_path / "paper_example.txt"
     path.write_text(PAPER_EXAMPLE_TEXT)
     return str(path)
+
+
+@pytest.fixture(scope="session")
+def kahler12_spec() -> str:
+    """Seeded 12x12 Kähler matrix as an inline spec.
+
+    Columns 2k and 2k+1 (0-based) share one random column on rows < 2k.
+    """
+    rng = random.Random(12)
+    rows = [[0] * 12 for _ in range(12)]
+    for k in range(6):
+        for i in range(2 * k):
+            rows[i][2 * k] = rows[i][2 * k + 1] = rng.getrandbits(1)
+    return ";".join("".join(map(str, row)) for row in rows)

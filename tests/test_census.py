@@ -275,6 +275,17 @@ class TestBoundedWork:
             with pytest.raises(DimensionTooLarge):
                 run_census(12, **kwargs)
 
+    def test_theorem_only_ceiling_refuses_n10(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("kernel started")
+
+        monkeypatch.setattr(_kernels, "census_range", no_work)
+        assert census.DEFAULT_THEOREM_CEILING == 9
+        with pytest.raises(DimensionTooLarge):
+            run_census(10, oracle=False)
+        with pytest.raises(DimensionTooLarge):
+            run_census(11, oracle=False)
+
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         pools = []
 

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rbott import cli
+from rbott import cli, pmatrix
+from rbott.bott import BottMatrix, is_kahler
+
+PAPER_SPEC = "001111;001111;000011;000011;000000;000000"
 
 
 def run(capsys, *argv):
@@ -151,6 +158,12 @@ class TestCensusCommand:
         code, _, err = run(capsys, "census", "--dim", "9")
         assert code == 2
 
+    def test_theorem_only_over_ceiling(self, capsys):
+        code, out, err = run(capsys, "census", "--dim", "10", "--no-oracle")
+        assert code == 2
+        assert out == ""
+        assert "ceiling" in err
+
     @pytest.mark.parametrize("extra", [[], ["--ceiling", "99"]])
     def test_counter_overflow_rejected(self, capsys, extra):
         code, out, err = run(capsys, "census", "--dim", "12", "--no-oracle", *extra)
@@ -192,6 +205,51 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", paper_example_file)
         assert "reduction of w2" in out
         assert "residual:" in out
+
+
+class TestOneSWComputation:
+    """check, sw and verify each build the Stiefel-Whitney data once."""
+
+    @pytest.fixture()
+    def sw_calls(self, monkeypatch):
+        assert cli.pmx is pmatrix  # the name the CLI looks up
+        calls = []
+        real = pmatrix.sw_data
+
+        def counting(E):
+            calls.append(E)
+            return real(E)
+
+        monkeypatch.setattr(pmatrix, "sw_data", counting)
+        return calls
+
+    @pytest.mark.parametrize("cmd", ["check", "sw", "verify"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_paper_example(self, capsys, sw_calls, cmd, json_flag):
+        code, _, _ = run(capsys, cmd, "--matrix", PAPER_SPEC, *json_flag)
+        assert code == 0
+        assert len(sw_calls) == 1
+
+    @pytest.mark.parametrize("cmd", ["check", "sw", "verify"])
+    def test_seeded_kahler_n12(self, capsys, sw_calls, cmd, kahler12_spec):
+        assert is_kahler(BottMatrix.from_inline(kahler12_spec))
+        code, _, _ = run(capsys, cmd, "--matrix", kahler12_spec, "--json")
+        assert code == 0
+        assert len(sw_calls) == 1
+
+
+def test_python_m_rbott():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbott", "check", "--matrix", "01;00"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "kahler:" in proc.stdout
 
 
 class TestRoundTrip:

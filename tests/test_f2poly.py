@@ -26,14 +26,16 @@ ONE = F2Polynomial.one()
 ZERO = F2Polynomial.zero()
 
 
+def exponent_maps(max_var=4, max_exp=2):
+    return st.dictionaries(st.integers(1, max_var), st.integers(1, max_exp), max_size=3)
+
+
 def monomials(max_var=4, max_exp=2):
-    return st.dictionaries(
-        st.integers(1, max_var), st.integers(1, max_exp), max_size=3
-    ).map(Monomial.from_dict)
+    return exponent_maps(max_var, max_exp).map(Monomial.from_dict)
 
 
-def polynomials():
-    return st.lists(monomials(), max_size=6).map(F2Polynomial.from_monomials)
+def polynomials(max_var=4):
+    return st.lists(monomials(max_var), max_size=6).map(F2Polynomial.from_monomials)
 
 
 class TestAddition:
@@ -81,6 +83,39 @@ class TestMultiplication:
     def test_frobenius_general(self, p):
         squares = F2Polynomial.from_monomials(m * m for m in p.terms)
         assert p * p == squares
+
+
+class TestProductProperties:
+    """The merged-tuple monomial product against its definition, in <= 8 variables."""
+
+    @given(exponent_maps(8, 3), exponent_maps(8, 3))
+    def test_monomial_product_sums_exponents(self, e, f):
+        summed = {v: e.get(v, 0) + f.get(v, 0) for v in e.keys() | f.keys()}
+        product = Monomial.from_dict(e) * Monomial.from_dict(f)
+        assert product == Monomial.from_dict(summed)
+
+    @given(monomials(8, 3), monomials(8, 3))
+    def test_monomial_product_commutative(self, m, k):
+        assert m * k == k * m
+
+    @given(monomials(8, 3))
+    def test_monomial_identity(self, m):
+        one = Monomial.from_dict({})
+        assert m * one == m and one * m == m
+
+    @given(polynomials(8), polynomials(8), polynomials(8))
+    def test_polynomial_product_associative(self, p, q, r):
+        assert (p * q) * r == p * (q * r)
+
+    @given(polynomials(8), polynomials(8), polynomials(8))
+    def test_polynomial_product_distributes(self, p, q, r):
+        assert p * (q + r) == p * q + p * r
+        assert (p + q) * r == p * r + q * r
+
+    @given(polynomials(8))
+    def test_polynomial_identity(self, p):
+        assert p * ONE == p and ONE * p == p
+        assert (p * ZERO).is_zero()
 
 
 class TestGradedPieces:

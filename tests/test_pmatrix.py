@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rbott import pmatrix
 from rbott.bott import to_pmatrix
 from rbott.f2poly import F2Polynomial, deg2_to_vector
 from rbott.pmatrix import (
@@ -17,11 +18,14 @@ from rbott.pmatrix import (
     class_beta_j,
     class_theta_j,
     has_full_holonomy,
+    ideal_deg2,
     is_free_action,
     is_orientable,
+    is_spin,
     pentry_add,
     sw_data,
     total_sw_class,
+    w2_in_ideal,
 )
 
 X1 = F2Polynomial.var(1)
@@ -160,6 +164,30 @@ class TestSWData:
             assert data.w2 == total.homogeneous_part(2)
 
 
+    def test_carries_per_column_classes(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            E = random_pmatrix(rng)
+            data = sw_data(E)
+            assert data.d == E.d
+            for j in range(1, E.n + 1):
+                assert data.alphas[j - 1] == class_alpha_j(E, j)
+                assert data.betas[j - 1] == class_beta_j(E, j)
+                assert data.thetas[j - 1] == class_theta_j(E, j)
+
+    def test_linear_classes_are_sums_of_variables(self):
+        E = PMatrix(((0, 1, 2, 3, 0), (1, 1, 3, 2, 3), (2, 0, 0, 1, 0)))
+        x1, x2, x3 = (F2Polynomial.var(i) for i in (1, 2, 3))
+        assert class_alpha_j(E, 1) == x2 + x3
+        assert class_beta_j(E, 1) == x2
+        assert class_alpha_j(E, 2) == x1 + x2
+        assert class_beta_j(E, 3) == x2
+        assert class_alpha_j(E, 4) == x2 + x3
+        assert class_beta_j(E, 4) == x1 + x3
+        assert class_alpha_j(E, 5).is_zero()
+        assert class_beta_j(E, 5) == x2
+
+
 class TestTotalSWClass:
     def test_circle(self):
         assert total_sw_class(PMatrix(((1,),)), 4) == F2Polynomial.one()
@@ -216,6 +244,27 @@ class TestSpinOracle:
         assert not admits_spin_oracle(KLEIN)
         # w2 = 0 is trivially in the ideal; the bare membership test passes
         assert admits_spin_oracle(KLEIN, include_orientability=False)
+
+    def test_orientability_needs_only_w1(self, monkeypatch):
+        rng = random.Random(29)
+        matrices = [random_pmatrix(rng) for _ in range(100)]
+        expected = [sw_data(E).w1.is_zero() for E in matrices]
+
+        def no_sw_data(E):
+            raise AssertionError("is_orientable built the whole SW data")
+
+        monkeypatch.setattr(pmatrix, "sw_data", no_sw_data)
+        assert [is_orientable(E) for E in matrices] == expected
+        assert any(expected) and not all(expected)
+
+    def test_wrappers_match_sw_data_route(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            E = random_pmatrix(rng, max_d=4, max_n=5)
+            data = sw_data(E)
+            assert characteristic_ideal_deg2(E).basis == ideal_deg2(data).basis
+            assert admits_spin_oracle(E) == is_spin(data)
+            assert admits_spin_oracle(E, include_orientability=False) == w2_in_ideal(data)
 
     def test_column_permutation_invariance(self):
         rng = random.Random(17)
