@@ -15,7 +15,6 @@ from .bott import (
     spin_main_theorem,
     spin_oracle,
     to_pmatrix,
-    validate,
 )
 from .census import (
     CensusReport,
@@ -76,5 +75,4 @@ __all__ = [
     "sw_data",
     "to_pmatrix",
     "total_sw_class",
-    "validate",
 ]

@@ -1,12 +1,24 @@
-"""Batched census kernel over ranges of the matrix enumeration counter.
+"""Batched census kernel over ranges of the orientable matrix counter.
 
 A strictly upper triangular n x n matrix over F2 has m = n(n-1)/2 free
-bits; the kernel walks a half-open range of the counter [0, 2^m) in
-numpy batches of ``CHUNK`` values.  Bit p of the counter (row-major over
-the above-diagonal positions, least significant bit first) is one
-matrix entry, so row a is a contiguous bit field of the counter.  Rows
+entries; the census reports on all 2^m such matrices, numbered by the
+full counter (bit p is the p-th above-diagonal entry, row-major, least
+significant bit first).  Only orientable matrices can be Kähler or
+spin, and a matrix is orientable iff every row has even weight.  So the
+kernel walks the orientable counter [0, 2^b), b = (n-1)(n-2)/2, in
+numpy batches of ``CHUNK`` values.  Row a reads its entries in columns a+2..n-1 from a
+bit field of n-2-a counter bits (row-major, least significant bit
+first), and its column-(a+1) entry is the parity of those bits.  Rows
 r_a and columns c_j are uint16 bitmasks: bit j of r_a and bit a of c_j
 are both the entry a_aj.
+
+The two counters list orientable matrices in the same order.  Both
+order the free bits alike, so the order could differ only where two
+matrices first differ, from the most significant end, in a parity bit.
+In the full counter the entry (a, a+1) is the least significant bit of
+row a, so that would need row a to agree in every free bit but not in
+their parity, which cannot happen.  Mismatches are reported as full
+counter values.
 
 Write m_a = |r_a| for the row weights and m_ab = |r_a AND r_b|.  For the
 P-matrix of a Bott matrix the generators of the characteristic ideal are
@@ -29,9 +41,8 @@ elimination:
 
 A Kähler matrix (every column value occurs an even number of times) is
 orientable: each row meets every class of equal columns in an even
-number of entries.  So the kernel tests orientability on the whole
-batch, and runs the Kähler test, the reduced-row-sum theorem and the
-oracle only on the orientable part.
+number of entries.  So no Kähler or spin matrix lies outside the
+orientable counter.
 """
 
 from __future__ import annotations
@@ -49,14 +60,17 @@ N_COUNTS = 6
 
 BACKEND = "numpy"
 
-# the whole counter range 2^(n(n-1)/2) fits a signed 64-bit int up to here
+# mismatches are full counter values, and the full counter range
+# 2^(n(n-1)/2) fits a signed 64-bit int up to here
 MAX_DIM = 11
 
-# Counter values per batch.  Batches are aligned blocks of CHUNK values,
-# so within one the counter bits from LOG2_CHUNK up are constant, and the
-# varying low bits fit uint16.
-LOG2_CHUNK = 12
-CHUNK = 1 << LOG2_CHUNK
+# counter values per batch
+CHUNK = 4096
+
+
+def orientable_bits(n: int) -> int:
+    """Bits of the orientable counter: the free entries above the superdiagonal."""
+    return (n - 1) * (n - 2) // 2
 
 
 def _entries(rows: np.ndarray) -> np.ndarray:
@@ -99,36 +113,27 @@ def _spin_oracle(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 
 def census_range(n, lo, hi, with_oracle, mismatches, mismatch_cap):
-    """Counts over the counter values [lo, hi), in the IDX_* layout.
+    """Counts over the orientable counter values [lo, hi), in the IDX_* layout.
 
-    Counter values of Kähler matrices where theorem and oracle disagree
-    are written to ``mismatches`` in counter order, at most
+    Full counter values of Kähler matrices where theorem and oracle
+    disagree are written to ``mismatches`` in counter order, at most
     ``mismatch_cap`` of them; returns (counts, number written).
     """
-    widths = [n - 1 - a for a in range(n)]
-    offsets = [sum(widths[:a]) for a in range(n)]
-    masks = np.array([(1 << w) - 1 for w in widths], dtype=np.uint16)[:, None]
-    # numpy shifts by the bit width or more to 0, so rows that lie wholly
-    # in the high bits take nothing from low
-    low_shifts = np.array(offsets, dtype=np.uint16)[:, None]
-    places = np.arange(1, n + 1, dtype=np.uint16)[:, None]
+    widths = [max(n - 2 - a, 0) for a in range(n)]
+    shifts = np.array([sum(widths[:a]) for a in range(n)], dtype=np.int64)[:, None]
+    masks = np.array([(1 << w) - 1 for w in widths], dtype=np.int64)[:, None]
+    columns = np.arange(1, n + 1, dtype=np.uint16)
+    # row a starts at bit a n - a(a+1)/2 of the full counter
+    full_shifts = np.array([a * n - a * (a + 1) // 2 for a in range(n)], dtype=np.int64)
     counts = np.zeros(N_COUNTS, dtype=np.int64)
+    counts[IDX_ORIENTABLE] = hi - lo
     n_mis = 0
-    start = lo
-    while start < hi:
-        base = start - start % CHUNK
-        stop = min(base + CHUNK, hi)
-        low = np.arange(start - base, stop - base, dtype=np.uint16)
-        start = stop
-        high = [(base >> o) & ((1 << w) - 1) for o, w in zip(offsets, widths)]
-        if any(h.bit_count() & 1 for h, o in zip(high, offsets) if o >= LOG2_CHUNK):
-            continue  # a row fixed for the whole batch has odd weight
-        # rows[a, k] is the bitmask of row a of matrix base + low[k]
-        fields = ((low >> low_shifts) & masks) | np.array(high, dtype=np.uint16)[:, None]
-        rows = fields << places
-        orientable = (np.bitwise_or.reduce(np.bitwise_count(rows), axis=0) & 1) == 0
-        counts[IDX_ORIENTABLE] += np.count_nonzero(orientable)
-        rows = rows[:, orientable].T
+    for start in range(lo, hi, CHUNK):
+        idx = np.arange(start, min(start + CHUNK, hi), dtype=np.int64)
+        # rows[k, a] is the bitmask of row a of matrix idx[k]; the
+        # transposed (column-major) layout is faster in the stages below
+        fields = ((idx >> shifts) & masks).astype(np.uint16).T
+        rows = ((fields << 1) | (np.bitwise_count(fields) & 1)) << columns
 
         entries = _entries(rows)
         cols = _columns(entries)
@@ -144,10 +149,10 @@ def census_range(n, lo, hi, with_oracle, mismatches, mismatch_cap):
             oracle = _spin_oracle(rows, entries)
             counts[IDX_SPIN_ORACLE_ALL] += np.count_nonzero(oracle)
             counts[IDX_SPIN_ORACLE_KAHLER] += np.count_nonzero(oracle & kahler)
-            idx = base + low[orientable].astype(np.int64)
-            disagree = idx[kahler & (oracle != theorem)]
-            counts[IDX_MISMATCH] += disagree.size
-            kept = disagree[: mismatch_cap - n_mis]
+            disagree = rows[kahler & (oracle != theorem)].astype(np.int64)
+            full = ((disagree >> columns) << full_shifts).sum(axis=1)
+            counts[IDX_MISMATCH] += full.size
+            kept = full[: mismatch_cap - n_mis]
             mismatches[n_mis : n_mis + kept.size] = kept
             n_mis += kept.size
     return counts, n_mis

@@ -117,16 +117,6 @@ class BottMatrix:
         return f"{self.n}\n{body}" if header else body
 
 
-def validate(bits) -> BottMatrix:
-    """Construct a BottMatrix from a square 0/1 array, checking triangularity."""
-    rows = tuple(tuple(int(v) for v in row) for row in bits)
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("array is not square")
-    return BottMatrix(rows)
-
-
 def to_pmatrix(A: BottMatrix) -> PMatrix:
     """P-matrix of the Bott manifold: 1 on the diagonal, 2 where a_ij = 1."""
     n = A.n

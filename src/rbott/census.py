@@ -2,8 +2,10 @@
 
 The enumeration order is fixed: the above-diagonal entries, read
 row-major, are the bits of a binary counter (position (1,2) is the
-least significant bit).  Censuses shard that index space into disjoint
-ranges, so worker counts never change the resulting counts.
+least significant bit).  Censuses sweep only the orientable matrices, in
+the same order, through the kernel's orientable counter, and shard that
+index space into disjoint ranges, so worker counts never change the
+resulting counts.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -20,8 +22,8 @@ from . import _kernels
 from .bott import BottMatrix
 
 # Largest default dimensions whose sweep finishes in minutes: the n = 9
-# theorem-only sweep took ~8 min on one core of a 2-CPU VM, and n = 10
-# has 2^9 times as many counter values.
+# theorem-only sweep took 3.3 min on one core of a 2-CPU VM, and n = 10
+# has 2^8 times as many orientable counter values.
 DEFAULT_ORACLE_CEILING = 8
 DEFAULT_THEOREM_CEILING = 9
 MISMATCH_CAP = 100
@@ -71,10 +73,10 @@ def enumerate_bott(
 
 
 def partition_space(n: int, workers: int) -> list[tuple[int, int]]:
-    """Split [0, 2^m) into near-equal disjoint covering ranges."""
+    """Split the orientable counter [0, 2^b) into near-equal disjoint covering ranges."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    total = 1 << free_bit_count(n)
+    total = 1 << _kernels.orientable_bits(n)
     chunks = min(workers, total)
     base, extra = divmod(total, chunks)
     ranges = []
@@ -97,8 +99,8 @@ class CensusReport:
     spin_by_oracle_count: int | None
     spin_by_oracle_all_count: int | None
     orientable_count: int
-    mismatches: list[str] = field(default_factory=list)
     mismatch_count: int = 0
+    mismatches: list[str] = field(default_factory=list)
     mismatch_truncated: bool = False
     oracle: bool = True
     workers: int = 1
@@ -106,22 +108,7 @@ class CensusReport:
     elapsed: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "total": self.total,
-            "kahler_count": self.kahler_count,
-            "spin_by_theorem_count": self.spin_by_theorem_count,
-            "spin_by_oracle_count": self.spin_by_oracle_count,
-            "spin_by_oracle_all_count": self.spin_by_oracle_all_count,
-            "orientable_count": self.orientable_count,
-            "mismatch_count": self.mismatch_count,
-            "mismatches": self.mismatches,
-            "mismatch_truncated": self.mismatch_truncated,
-            "oracle": self.oracle,
-            "workers": self.workers,
-            "backend": self.backend,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 def run_census(

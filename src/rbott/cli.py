@@ -33,7 +33,7 @@ def _load_matrix(args) -> bott.BottMatrix:
         try:
             with open(args.file) as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.file}: {exc}")
         source = args.file
     else:
@@ -179,8 +179,11 @@ def cmd_census(args) -> int:
     document = {"schema_version": SCHEMA_VERSION, "command": "census", **report.to_dict()}
     payload = json.dumps(document, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}")
     else:
         print(payload)
     print(

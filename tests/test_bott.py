@@ -17,7 +17,6 @@ from rbott.bott import (
     spin_main_theorem,
     spin_oracle,
     to_pmatrix,
-    validate,
 )
 from rbott.pmatrix import PMatrix, has_full_holonomy, is_free_action, sw_data
 
@@ -39,20 +38,20 @@ class TestValidation:
 
     def test_identity_rejected(self):
         with pytest.raises(NotStrictlyUpperTriangular) as err:
-            validate([[1, 0], [0, 1]])
+            BottMatrix(((1, 0), (0, 1)))
         assert (err.value.i, err.value.j) == (1, 1)
 
     def test_zero_valid(self):
-        assert validate([[0] * 5 for _ in range(5)]).n == 5
+        assert BottMatrix(((0,) * 5,) * 5).n == 5
 
     def test_lower_entry_rejected(self):
         with pytest.raises(NotStrictlyUpperTriangular) as err:
-            validate([[0, 1], [1, 0]])
+            BottMatrix(((0, 1), (1, 0)))
         assert (err.value.i, err.value.j) == (2, 1)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            validate([[0, 1]])
+            BottMatrix(((0, 1),))
 
 
 class TestTextFormat:

@@ -50,17 +50,22 @@ class TestEnumeration:
 
 
 class TestPartition:
+    """Shards split the orientable counter, where every value is a matrix."""
+
     def test_single_worker(self):
-        assert partition_space(4, 1) == [(0, 64)]
+        assert partition_space(4, 1) == [(0, 8)]
 
     def test_two_workers(self):
-        assert partition_space(4, 2) == [(0, 32), (32, 64)]
+        assert partition_space(4, 2) == [(0, 4), (4, 8)]
+
+    def test_two_workers_balanced_at_n8(self):
+        assert partition_space(8, 2) == [(0, 1 << 20), (1 << 20, 1 << 21)]
 
     def test_partition_covers_space(self):
         for n in (2, 4, 5):
             for workers in (1, 2, 3, 7, 100):
                 ranges = partition_space(n, workers)
-                total = 1 << free_bit_count(n)
+                total = 1 << _kernels.orientable_bits(n)
                 assert ranges[0][0] == 0 and ranges[-1][1] == total
                 for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
                     assert hi == lo
@@ -191,6 +196,44 @@ def _random_kahler_index(n, rng):
     return index_of(BottMatrix(tuple(map(tuple, rows))))
 
 
+def _decode_orientable(n, k):
+    """Matrix at orientable counter value k: row a takes its entries in
+    columns a+2..n-1 from the next n-2-a bits of k, least significant
+    first, and its column-(a+1) entry is their parity."""
+    rows = [[0] * n for _ in range(n)]
+    p = 0
+    for a in range(n - 1):
+        for j in range(a + 2, n):
+            rows[a][j] = (k >> p) & 1
+            p += 1
+        rows[a][a + 1] = sum(rows[a]) % 2
+    return BottMatrix(tuple(map(tuple, rows)))
+
+
+def _encode_orientable(A):
+    """Orientable counter value of an orientable matrix."""
+    k = p = 0
+    for a in range(A.n - 1):
+        for j in range(a + 2, A.n):
+            k |= A.rows[a][j] << p
+            p += 1
+    return k
+
+
+class TestOrientableCounter:
+    def test_lists_orientable_matrices_in_full_counter_order(self):
+        # The mismatch order of a census depends on this.
+        n = 5
+        decoded = [
+            index_of(_decode_orientable(n, k))
+            for k in range(1 << _kernels.orientable_bits(n))
+        ]
+        expected = [
+            index_of(A) for A in enumerate_bott(n) if is_orientable(to_pmatrix(A))
+        ]
+        assert decoded == expected
+
+
 def _referee_counts(n, indices):
     """The kernel's counts layout, recounted by the per-matrix functions."""
     counts = [0] * _kernels.N_COUNTS
@@ -220,8 +263,10 @@ class TestKernelReferee:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_referee_exhaustively(self, n):
-        total = 1 << free_bit_count(n)
-        assert _kernel_counts(n, 0, total) == _referee_counts(n, range(total))
+        # The referee sees every matrix, so non-orientable ones must add
+        # nothing beyond the orientable counter.
+        sweep = _kernel_counts(n, 0, 1 << _kernels.orientable_bits(n))
+        assert sweep == _referee_counts(n, range(1 << free_bit_count(n)))
 
     @pytest.mark.parametrize("n,seed", [(7, 1), (7, 2), (8, 1), (8, 2), (8, 3)])
     def test_matches_referee_on_seeded_windows(self, n, seed):
@@ -229,19 +274,25 @@ class TestKernelReferee:
         # (odd n) are dense in the cases the kernel treats specially.
         rng = random.Random(seed)
         pick = _random_kahler_index if n % 2 == 0 else _random_orientable_index
-        lo = max(pick(n, rng) - 64, 0)
-        window = range(lo, lo + 128)
-        assert _kernel_counts(n, window.start, window.stop) == _referee_counts(n, window)
+        A = matrix_from_index(n, pick(n, rng))
+        centre = _encode_orientable(A)
+        assert _decode_orientable(n, centre) == A
+        lo = max(centre - 64, 0)
+        window = range(lo, min(lo + 128, 1 << _kernels.orientable_bits(n)))
+        full = [index_of(_decode_orientable(n, k)) for k in window]
+        assert _kernel_counts(n, window.start, window.stop) == _referee_counts(n, full)
 
     def test_split_ranges_sum_to_whole(self):
-        # Range ends that are not batch-aligned must neither drop nor
-        # double-count any counter value.
+        # Ranges with arbitrary ends must neither drop nor double-count
+        # any counter value: at n = 6 (2^10 values, with Kähler matrices)
+        # within one batch, at n = 7 (2^15 values) across batches.
         rng = random.Random(6)
-        total = 1 << free_bit_count(6)
-        cuts = sorted(rng.sample(range(1, total), 9))
-        pieces = zip([0] + cuts, cuts + [total])
-        summed = np.sum([_kernel_counts(6, lo, hi) for lo, hi in pieces], axis=0)
-        assert summed.tolist() == _kernel_counts(6, 0, total)
+        for n in (6, 7):
+            total = 1 << _kernels.orientable_bits(n)
+            cuts = sorted(rng.sample(range(1, total), 9))
+            pieces = zip([0] + cuts, cuts + [total])
+            summed = np.sum([_kernel_counts(n, lo, hi) for lo, hi in pieces], axis=0)
+            assert summed.tolist() == _kernel_counts(n, 0, total)
 
 
 class TestKernelBackends:
@@ -317,6 +368,24 @@ class TestBoundedWork:
 
 
 class TestReportShape:
+    def test_to_dict_key_order(self):
+        assert list(run_census(2).to_dict()) == [
+            "dimension",
+            "total",
+            "kahler_count",
+            "spin_by_theorem_count",
+            "spin_by_oracle_count",
+            "spin_by_oracle_all_count",
+            "orientable_count",
+            "mismatch_count",
+            "mismatches",
+            "mismatch_truncated",
+            "oracle",
+            "workers",
+            "backend",
+            "elapsed",
+        ]
+
     def test_to_dict_fields(self):
         doc = run_census(2).to_dict()
         assert set(doc) == {

@@ -66,6 +66,14 @@ class TestInputErrors:
         assert code == 2
         assert "error" in err
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 2
+        assert out == ""
+        assert f"error: cannot read {bad}" in err
+
     def test_not_triangular(self, capsys):
         code, _, err = run(capsys, "check", "--matrix", "10;00")
         assert code == 2
@@ -153,6 +161,15 @@ class TestCensusCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["total"] == 2
+
+    def test_out_file_unwritable(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, "census", "--dim", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert f"error: cannot write {target}" in err
+        assert "Traceback" not in err
+        assert not target.exists()
 
     def test_over_ceiling(self, capsys):
         code, _, err = run(capsys, "census", "--dim", "9")
