@@ -39,6 +39,16 @@ elimination:
     spin  <=>  every m_a is even (w1 = 0), and for all i < j
                m_ij = a_ij (m_j / 2)  (mod 2).
 
+With h_j = (m_j / 2) mod 2 and t_j = r_j XOR (h_j << j), the condition
+for i < j says |r_i AND t_j| is even, as r_j has no bit j and so
+|r_i AND t_j| = m_ij + a_ij h_j.
+
+Sort each matrix's column values.  Every value occurs an even number of
+times (the Kähler test) iff n is even and positions 2k and 2k+1 are
+equal for every k.  The reduced matrix keeps one column of each equal
+pair, and the bitmask of its row sums is the xor of the kept columns,
+so the even sorted positions give it.
+
 A Kähler matrix (every column value occurs an even number of times) is
 orientable: each row meets every class of equal columns in an even
 number of entries.  So no Kähler or spin matrix lies outside the
@@ -73,51 +83,38 @@ def orientable_bits(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
-def _entries(rows: np.ndarray) -> np.ndarray:
-    """Entries a_ij as uint16 0/1, shape (batch, n, n)."""
-    n = rows.shape[1]
-    return (rows[:, :, None] >> np.arange(n, dtype=np.uint16)) & np.uint16(1)
-
-
-def _columns(entries: np.ndarray) -> np.ndarray:
+def _columns(rows: np.ndarray) -> np.ndarray:
     """Column bitmasks c_j (bit i is a_ij), shape (batch, n)."""
-    n = entries.shape[1]
-    weights = (np.uint16(1) << np.arange(n, dtype=np.uint16))[:, None]
-    return (entries * weights).sum(axis=1, dtype=np.uint16)
+    bits = np.arange(rows.shape[1], dtype=np.uint16)
+    entries = (rows[:, :, None] >> bits) & np.uint16(1)
+    # einsum measured ~2x faster than .sum(axis=1) over the same product
+    return np.einsum("kij,i->kj", entries, np.uint16(1) << bits)
 
 
-def _spin_theorem(cols: np.ndarray, equal: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Reduced-row-sum criterion on Kähler matrices.
-
-    Each column value v of multiplicity 2k adds k v to the reduced row
-    sums; spin iff every row with odd sum has a zero column.
-    """
-    n = cols.shape[1]
-    earlier = np.tri(n, k=-1, dtype=bool)
-    first = ~(equal & earlier).any(axis=2)
-    odd_half = first & ((mult >> 1) & 1).astype(bool)
-    sums = np.bitwise_xor.reduce(np.where(odd_half, cols, np.uint16(0)), axis=1)
-    weights = np.uint16(1) << np.arange(n, dtype=np.uint16)
-    nonzero = ((cols != 0) * weights).sum(axis=1, dtype=np.uint16)
+def _spin_theorem(ordered: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Reduced-row-sum criterion from the sorted columns ``ordered`` of
+    Kähler matrices: spin iff every row i with odd sum has c_i = 0."""
+    sums = np.bitwise_xor.reduce(ordered[:, 0::2], axis=1)
+    nonzero = np.bitwise_or.reduce(rows, axis=1)
     return (sums & nonzero) == 0
 
 
-def _spin_oracle(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Closed-form oracle on orientable matrices (w1 = 0 already holds)."""
+def _spin_oracle(rows: np.ndarray) -> np.ndarray:
+    """Closed-form oracle on orientable matrices (w1 = 0 already holds):
+    spin iff |r_i AND t_j| is even for all i < j."""
     n = rows.shape[1]
-    meet = np.bitwise_count(rows[:, :, None] & rows[:, None, :]) & 1
-    half = (np.bitwise_count(rows) >> 1) & 1
-    off = (meet ^ (entries * half[:, None, :])).astype(bool)
-    upper = ~np.tri(n, dtype=bool)
-    return ~(off & upper).any(axis=(1, 2))
+    half = (np.bitwise_count(rows) >> 1) & np.uint16(1)
+    t = rows ^ (half << np.arange(n, dtype=np.uint16))
+    i, j = np.triu_indices(n, 1)
+    return ~(np.bitwise_count(rows[:, i] & t[:, j]) & 1).any(axis=1)
 
 
-def census_range(n, lo, hi, with_oracle, mismatches, mismatch_cap):
+def census_range(n, lo, hi, with_oracle, mismatch_cap):
     """Counts over the orientable counter values [lo, hi), in the IDX_* layout.
 
-    Full counter values of Kähler matrices where theorem and oracle
-    disagree are written to ``mismatches`` in counter order, at most
-    ``mismatch_cap`` of them; returns (counts, number written).
+    Returns (counts, mismatches): the full counter values of the first
+    ``mismatch_cap`` Kähler matrices where theorem and oracle disagree,
+    in counter order.
     """
     widths = [max(n - 2 - a, 0) for a in range(n)]
     shifts = np.array([sum(widths[:a]) for a in range(n)], dtype=np.int64)[:, None]
@@ -127,7 +124,7 @@ def census_range(n, lo, hi, with_oracle, mismatches, mismatch_cap):
     full_shifts = np.array([a * n - a * (a + 1) // 2 for a in range(n)], dtype=np.int64)
     counts = np.zeros(N_COUNTS, dtype=np.int64)
     counts[IDX_ORIENTABLE] = hi - lo
-    n_mis = 0
+    mismatches: list[int] = []
     for start in range(lo, hi, CHUNK):
         idx = np.arange(start, min(start + CHUNK, hi), dtype=np.int64)
         # rows[k, a] is the bitmask of row a of matrix idx[k]; the
@@ -135,24 +132,18 @@ def census_range(n, lo, hi, with_oracle, mismatches, mismatch_cap):
         fields = ((idx >> shifts) & masks).astype(np.uint16).T
         rows = ((fields << 1) | (np.bitwise_count(fields) & 1)) << columns
 
-        entries = _entries(rows)
-        cols = _columns(entries)
-        equal = cols[:, :, None] == cols[:, None, :]
-        mult = equal.sum(axis=2)
-        kahler = ~(mult & 1).any(axis=1)
-        theorem = np.zeros_like(kahler)
-        theorem[kahler] = _spin_theorem(cols[kahler], equal[kahler], mult[kahler])
+        ordered = np.sort(_columns(rows), axis=1)
+        kahler = (ordered[:, 0 : n - 1 : 2] == ordered[:, 1::2]).all(axis=1) & (n % 2 == 0)
+        theorem = kahler & _spin_theorem(ordered, rows)
         counts[IDX_KAHLER] += np.count_nonzero(kahler)
         counts[IDX_SPIN_THEOREM] += np.count_nonzero(theorem)
 
         if with_oracle:
-            oracle = _spin_oracle(rows, entries)
+            oracle = _spin_oracle(rows)
             counts[IDX_SPIN_ORACLE_ALL] += np.count_nonzero(oracle)
             counts[IDX_SPIN_ORACLE_KAHLER] += np.count_nonzero(oracle & kahler)
             disagree = rows[kahler & (oracle != theorem)].astype(np.int64)
             full = ((disagree >> columns) << full_shifts).sum(axis=1)
             counts[IDX_MISMATCH] += full.size
-            kept = full[: mismatch_cap - n_mis]
-            mismatches[n_mis : n_mis + kept.size] = kept
-            n_mis += kept.size
-    return counts, n_mis
+            mismatches += full[: mismatch_cap - len(mismatches)].tolist()
+    return counts, mismatches

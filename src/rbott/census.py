@@ -22,7 +22,7 @@ from . import _kernels
 from .bott import BottMatrix
 
 # Largest default dimensions whose sweep finishes in minutes: the n = 9
-# theorem-only sweep took 3.3 min on one core of a 2-CPU VM, and n = 10
+# theorem-only sweep took 1.5 min on one core of a 2-CPU VM, and n = 10
 # has 2^8 times as many orientable counter values.
 DEFAULT_ORACLE_CEILING = 8
 DEFAULT_THEOREM_CEILING = 9
@@ -73,11 +73,12 @@ def enumerate_bott(
 
 
 def partition_space(n: int, workers: int) -> list[tuple[int, int]]:
-    """Split the orientable counter [0, 2^b) into near-equal disjoint covering ranges."""
+    """Split the orientable counter [0, 2^b) into near-equal disjoint covering
+    ranges, none shorter than one kernel batch unless the counter is."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     total = 1 << _kernels.orientable_bits(n)
-    chunks = min(workers, total)
+    chunks = max(1, min(workers, total // _kernels.CHUNK))
     base, extra = divmod(total, chunks)
     ranges = []
     lo = 0
@@ -142,11 +143,7 @@ def run_census(
     ranges = partition_space(n, workers)
 
     def shard(rng: tuple[int, int]):
-        mis = np.zeros(MISMATCH_CAP, dtype=np.int64)
-        counts, n_mis = _kernels.census_range(
-            n, rng[0], rng[1], oracle, mis, MISMATCH_CAP
-        )
-        return counts, mis[:n_mis].tolist()
+        return _kernels.census_range(n, rng[0], rng[1], oracle, MISMATCH_CAP)
 
     if len(ranges) == 1:
         results = [shard(ranges[0])]

@@ -9,6 +9,8 @@ expected).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 
@@ -167,25 +169,32 @@ def cmd_generators(args) -> int:
 
 
 def cmd_census(args) -> int:
+    # open --out before the sweep; mode "a" keeps an existing file as it
+    # is until the report replaces it
     try:
-        report = census_mod.run_census(
-            args.dim,
-            oracle=not args.no_oracle,
-            workers=args.workers,
-            ceiling=args.ceiling,
-        )
-    except (census_mod.DimensionTooLarge, ValueError) as exc:
-        raise InputError(str(exc))
-    document = {"schema_version": SCHEMA_VERSION, "command": "census", **report.to_dict()}
-    payload = json.dumps(document, indent=2)
-    if args.out:
+        out = open(args.out, "a") if args.out else None
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}")
+    with out or contextlib.nullcontext():
         try:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}")
-    else:
-        print(payload)
+            report = census_mod.run_census(
+                args.dim,
+                oracle=not args.no_oracle,
+                workers=args.workers,
+                ceiling=args.ceiling,
+            )
+        except (census_mod.DimensionTooLarge, ValueError) as exc:
+            raise InputError(str(exc))
+        document = {"schema_version": SCHEMA_VERSION, "command": "census", **report.to_dict()}
+        payload = json.dumps(document, indent=2)
+        if out:
+            try:
+                out.truncate(0)
+                out.write(payload + "\n")
+            except OSError as exc:
+                raise InputError(f"cannot write {args.out}: {exc}")
+        else:
+            print(payload)
     print(
         f"census n={report.dimension}: total={report.total} "
         f"kahler={report.kahler_count} mismatches={report.mismatch_count} "
@@ -261,6 +270,7 @@ def _add_matrix_args(sub):
     sub.add_argument("--json", action="store_true", help="structured output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbott",

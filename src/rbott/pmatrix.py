@@ -230,11 +230,6 @@ def is_orientable(E: PMatrix) -> bool:
     return poly_sum(a + b for a, b in zip(alphas, betas)).is_zero()
 
 
-def admits_spin_oracle(E: PMatrix, include_orientability: bool = True) -> bool:
-    """Cohomological spin test of the quotient of E.
-
-    With include_orientability (default) this is is_spin; without it,
-    only the ideal condition w2_in_ideal is tested.
-    """
-    data = sw_data(E)
-    return is_spin(data) if include_orientability else w2_in_ideal(data)
+def admits_spin_oracle(E: PMatrix) -> bool:
+    """Cohomological spin test of the quotient of E: is_spin on its SWData."""
+    return is_spin(sw_data(E))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rbott import _kernels
 from rbott.bott import BottMatrix
 
 PAPER_EXAMPLE_TEXT = """\
@@ -47,3 +48,22 @@ def kahler12_spec() -> str:
         for i in range(2 * k):
             rows[i][2 * k] = rows[i][2 * k + 1] = rng.getrandbits(1)
     return ";".join("".join(map(str, row)) for row in rows)
+
+
+@pytest.fixture()
+def shard_log(monkeypatch):
+    """The (lo, hi) range of every kernel call, one per census shard.
+
+    Batches shrink to 4 counter values, so that n = 4 and n = 6 censuses,
+    which fit one real batch, still split into several shards.
+    """
+    monkeypatch.setattr(_kernels, "CHUNK", 4)
+    kernel = _kernels.census_range
+    ranges = []
+
+    def logged(n, lo, hi, *args):
+        ranges.append((lo, hi))
+        return kernel(n, lo, hi, *args)
+
+    monkeypatch.setattr(_kernels, "census_range", logged)
+    return ranges

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from rbott import census
 from rbott.bott import (
     BottMatrix,
     compose,
@@ -176,12 +177,17 @@ def test_criterion_7_klein_bottle(klein):
     )
 
 
-def test_criterion_8_census_determinism():
+def test_criterion_8_census_determinism(monkeypatch, shard_log):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
+    # with 4-value batches, the 8 values of n = 4 make at most 2 shards
+    shards = {(4, 1): 1, (4, 2): 2, (4, 8): 2, (6, 1): 1, (6, 2): 2, (6, 8): 8}
     ok = True
     for n in (4, 6):
         docs = []
         for workers in (1, 2, 8):
+            shard_log.clear()
             doc = run_census(n, workers=workers).to_dict()
+            ok &= len(shard_log) == shards[n, workers]
             doc.pop("elapsed")
             doc.pop("workers")
             docs.append(json.dumps(doc, sort_keys=True))

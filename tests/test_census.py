@@ -55,13 +55,20 @@ class TestPartition:
     def test_single_worker(self):
         assert partition_space(4, 1) == [(0, 8)]
 
-    def test_two_workers(self):
+    def test_two_workers(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "CHUNK", 1)
         assert partition_space(4, 2) == [(0, 4), (4, 8)]
 
     def test_two_workers_balanced_at_n8(self):
         assert partition_space(8, 2) == [(0, 1 << 20), (1 << 20, 1 << 21)]
 
-    def test_partition_covers_space(self):
+    def test_no_shard_smaller_than_a_batch(self):
+        # 2^10 values fit one 4096-value batch; 2^15 values make 8.
+        assert partition_space(6, 2) == [(0, 1024)]
+        assert partition_space(7, 2) == [(0, 16384), (16384, 32768)]
+
+    def test_partition_covers_space(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "CHUNK", 1)
         for n in (2, 4, 5):
             for workers in (1, 2, 3, 7, 100):
                 ranges = partition_space(n, workers)
@@ -155,10 +162,13 @@ class TestCensusCounts:
 
 
 class TestDeterminism:
-    def test_counts_independent_of_workers(self):
+    def test_counts_independent_of_workers(self, monkeypatch, shard_log):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
         reference = run_census(6, workers=1).to_dict()
         for workers in (2, 8):
+            shard_log.clear()
             other = run_census(6, workers=workers).to_dict()
+            assert len(shard_log) == workers
             for key in reference:
                 if key in ("elapsed", "workers"):
                     continue
@@ -252,9 +262,8 @@ def _referee_counts(n, indices):
 
 
 def _kernel_counts(n, lo, hi):
-    mis = np.zeros(MISMATCH_CAP, dtype=np.int64)
-    counts, n_mis = _kernels.census_range(n, lo, hi, True, mis, MISMATCH_CAP)
-    assert n_mis == 0
+    counts, mismatches = _kernels.census_range(n, lo, hi, True, MISMATCH_CAP)
+    assert mismatches == []
     return counts.tolist()
 
 
@@ -268,7 +277,9 @@ class TestKernelReferee:
         sweep = _kernel_counts(n, 0, 1 << _kernels.orientable_bits(n))
         assert sweep == _referee_counts(n, range(1 << free_bit_count(n)))
 
-    @pytest.mark.parametrize("n,seed", [(7, 1), (7, 2), (8, 1), (8, 2), (8, 3)])
+    @pytest.mark.parametrize(
+        "n,seed", [(7, 1), (7, 2), (8, 1), (8, 2), (8, 3), (10, 1), (10, 2), (11, 1)]
+    )
     def test_matches_referee_on_seeded_windows(self, n, seed):
         # Windows around a Kähler matrix (even n) or an orientable one
         # (odd n) are dense in the cases the kernel treats specially.
@@ -302,13 +313,14 @@ class TestKernelBackends:
 
 
 class TestMismatchPath:
-    def test_negated_theorem_reports_every_kahler_matrix(self, monkeypatch):
+    def test_negated_theorem_reports_every_kahler_matrix(self, monkeypatch, shard_log):
         theorem = _kernels._spin_theorem
         monkeypatch.setattr(_kernels, "_spin_theorem", lambda *a: ~theorem(*a))
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
         kahler = (A for A in enumerate_bott(6) if is_kahler(A))
         first = [A.to_text() for A in itertools.islice(kahler, MISMATCH_CAP)]
         reports = [run_census(6, workers=workers) for workers in (1, 2)]
+        assert len(shard_log) == 1 + 2
         for report in reports:
             assert report.mismatch_count == 192
             assert report.mismatch_truncated
@@ -337,7 +349,7 @@ class TestBoundedWork:
         with pytest.raises(DimensionTooLarge):
             run_census(11, oracle=False)
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
+    def test_workers_capped_at_cpu_count(self, monkeypatch, shard_log):
         pools = []
 
         class RecordingExecutor:
@@ -359,6 +371,7 @@ class TestBoundedWork:
         monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
         capped = run_census(6, workers=10**6).to_dict()
         assert pools == [3]
+        assert len(shard_log) == 3
         assert capped.pop("workers") == 3
         reference = run_census(6, workers=1).to_dict()
         reference.pop("workers")

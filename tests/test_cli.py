@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rbott import cli, pmatrix
+from rbott import _kernels, cli, pmatrix
 from rbott.bott import BottMatrix, is_kahler
 
 PAPER_SPEC = "001111;001111;000011;000011;000000;000000"
@@ -162,7 +162,12 @@ class TestCensusCommand:
         assert out == ""
         assert json.loads(target.read_text())["total"] == 2
 
-    def test_out_file_unwritable(self, capsys, tmp_path):
+    def test_out_file_unwritable(self, capsys, tmp_path, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("kernel started")
+
+        # refused before the sweep starts
+        monkeypatch.setattr(_kernels, "census_range", no_work)
         target = tmp_path / "missing" / "r.json"
         code, out, err = run(capsys, "census", "--dim", "2", "--out", str(target))
         assert code == 2
@@ -170,6 +175,21 @@ class TestCensusCommand:
         assert f"error: cannot write {target}" in err
         assert "Traceback" not in err
         assert not target.exists()
+
+    def test_out_file_replaced_whole(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("x" * 10000)
+        code, _, _ = run(capsys, "census", "--dim", "2", "--out", str(target))
+        assert code == 0
+        assert json.loads(target.read_text())["total"] == 2
+
+    def test_refused_dimension_keeps_out_file(self, capsys, tmp_path):
+        target = tmp_path / "r.json"
+        target.write_text("earlier report\n")
+        code, out, err = run(capsys, "census", "--dim", "12", "--out", str(target))
+        assert code == 2
+        assert "n <= 11" in err
+        assert target.read_text() == "earlier report\n"
 
     def test_over_ceiling(self, capsys):
         code, _, err = run(capsys, "census", "--dim", "9")
@@ -253,6 +273,13 @@ class TestOneSWComputation:
         code, _, _ = run(capsys, cmd, "--matrix", kahler12_spec, "--json")
         assert code == 0
         assert len(sw_calls) == 1
+
+
+def test_parser_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    for argv in (["check", "--matrix", "01;00"], ["sw", "--matrix", "01;00", "--json"]):
+        assert cli.main(argv) == 0
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_python_m_rbott():

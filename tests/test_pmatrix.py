@@ -243,7 +243,7 @@ class TestSpinOracle:
     def test_klein_fails_on_orientability_only(self):
         assert not admits_spin_oracle(KLEIN)
         # w2 = 0 is trivially in the ideal; the bare membership test passes
-        assert admits_spin_oracle(KLEIN, include_orientability=False)
+        assert w2_in_ideal(sw_data(KLEIN))
 
     def test_orientability_needs_only_w1(self, monkeypatch):
         rng = random.Random(29)
@@ -264,7 +264,6 @@ class TestSpinOracle:
             data = sw_data(E)
             assert characteristic_ideal_deg2(E).basis == ideal_deg2(data).basis
             assert admits_spin_oracle(E) == is_spin(data)
-            assert admits_spin_oracle(E, include_orientability=False) == w2_in_ideal(data)
 
     def test_column_permutation_invariance(self):
         rng = random.Random(17)
