@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .pmatrix import PMatrix, admits_spin_oracle
 
@@ -39,6 +40,8 @@ class BottMatrix:
 
     def __post_init__(self):
         n = len(self.rows)
+        if n == 0:
+            raise ValueError("matrix must have at least one row")
         for i, row in enumerate(self.rows):
             if len(row) != n:
                 raise ValueError(f"row {i + 1} has length {len(row)}, expected {n}")
@@ -55,11 +58,16 @@ class BottMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        # Built on first use; not a field, so it stays out of __eq__/__hash__.
+        return tuple(zip(*self.rows))
+
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j - 1] for row in self.rows)
+        return self._columns[j - 1]
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(1, self.n + 1)]
+        return list(self._columns)
 
     @staticmethod
     def zero(n: int) -> "BottMatrix":
@@ -164,9 +172,7 @@ def reduce(A: BottMatrix) -> ReducedMatrix:
             kept.append(j)
             seen[col] += 1
     cols = tuple(A.column(j) for j in kept)
-    row_sums = tuple(
-        sum(col[i] for col in cols) % 2 for i in range(A.n)
-    )
+    row_sums = tuple(sum(row) % 2 for row in zip(*cols))
     return ReducedMatrix(tuple(kept), cols, row_sums)
 
 

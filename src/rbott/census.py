@@ -89,6 +89,30 @@ def partition_space(n: int, workers: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def check_request(
+    n: int, oracle: bool = True, workers: int = 1, ceiling: int | None = None
+) -> None:
+    """Refuse a census that run_census would refuse, before any work.
+
+    ValueError for n < 1 or workers < 1; DimensionTooLarge when the
+    counter does not fit the kernel's int64 range (whatever the ceiling)
+    or n exceeds the ceiling.
+    """
+    if ceiling is None:
+        ceiling = DEFAULT_ORACLE_CEILING if oracle else DEFAULT_THEOREM_CEILING
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if n > _kernels.MAX_DIM:
+        raise DimensionTooLarge(
+            f"n={n} has 2^{free_bit_count(n)} matrices; the census counter "
+            f"is limited to n <= {_kernels.MAX_DIM}"
+        )
+    if n > ceiling:
+        raise DimensionTooLarge(f"n={n} exceeds ceiling {ceiling}")
+
+
 @dataclass
 class CensusReport:
     """Aggregate counts of one census run; mismatches must stay empty."""
@@ -123,20 +147,9 @@ def run_census(
     Deterministic: counts and mismatch lists do not depend on the
     worker count, which is capped at ``os.cpu_count()``.  Mismatch
     matrices are kept verbatim (capped at MISMATCH_CAP with a truncation
-    flag).  Dimensions whose counter does not fit the kernel's int64
-    range raise DimensionTooLarge before any work, whatever the ceiling.
+    flag).  Requests that check_request refuses raise before any work.
     """
-    if ceiling is None:
-        ceiling = DEFAULT_ORACLE_CEILING if oracle else DEFAULT_THEOREM_CEILING
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if n > _kernels.MAX_DIM:
-        raise DimensionTooLarge(
-            f"n={n} has 2^{free_bit_count(n)} matrices; the census counter "
-            f"is limited to n <= {_kernels.MAX_DIM}"
-        )
-    if n > ceiling:
-        raise DimensionTooLarge(f"n={n} exceeds ceiling {ceiling}")
+    check_request(n, oracle, workers, ceiling)
     workers = min(workers, os.cpu_count() or 1)
 
     start = time.perf_counter()

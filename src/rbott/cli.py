@@ -169,6 +169,14 @@ def cmd_generators(args) -> int:
 
 
 def cmd_census(args) -> int:
+    request = dict(
+        n=args.dim, oracle=not args.no_oracle, workers=args.workers, ceiling=args.ceiling
+    )
+    # a refused request must not create --out; ValueError covers DimensionTooLarge
+    try:
+        census_mod.check_request(**request)
+    except ValueError as exc:
+        raise InputError(str(exc))
     # open --out before the sweep; mode "a" keeps an existing file as it
     # is until the report replaces it
     try:
@@ -176,15 +184,7 @@ def cmd_census(args) -> int:
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc}")
     with out or contextlib.nullcontext():
-        try:
-            report = census_mod.run_census(
-                args.dim,
-                oracle=not args.no_oracle,
-                workers=args.workers,
-                ceiling=args.ceiling,
-            )
-        except (census_mod.DimensionTooLarge, ValueError) as exc:
-            raise InputError(str(exc))
+        report = census_mod.run_census(**request)
         document = {"schema_version": SCHEMA_VERSION, "command": "census", **report.to_dict()}
         payload = json.dumps(document, indent=2)
         if out:

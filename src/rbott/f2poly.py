@@ -5,12 +5,26 @@ Polynomials live in F2[x1, ..., xd] and are stored as sets of monomials
 coordinate form for homogeneous degree-2 polynomials and reduced row
 spaces over F2, which together turn degree-2 ideal membership into
 Gaussian elimination.
+
+A monomial is a tuple of 1-based variable indices in non-decreasing
+order, one entry per factor: x1^2*x3 is (1, 1, 3) and 1 is ().  Its
+degree is its length and a product is the sorted concatenation.
+
+Polynomials print in graded lex order: ascending degree, then descending
+lexicographic on exponents with x1 most significant.  Within one degree
+this is ascending tuple order.  Where two index tuples of equal length
+first differ, the smaller index a either repeats the previous index
+(a larger exponent on that variable, the other tuple's run having
+ended) or starts a new variable a that the other tuple skips in favour
+of a less significant one.  Either way the first tuple comes first in
+graded lex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import groupby
 from typing import Iterable, Mapping
 
 
@@ -26,63 +40,49 @@ class LengthMismatch(ValueError):
     """Degree-2 vectors have different lengths."""
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Product of variables x_i^e_i; exps is a sorted tuple of (index, exponent).
+class Monomial(tuple):
+    """Product of variables as its sorted index tuple (see the module docstring).
 
-    Variable indices are 1-based and exponents are strictly positive.
+    Hash and equality are the tuple's; ``exps`` gives (index, exponent) pairs.
     """
 
-    exps: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @staticmethod
     def from_dict(exponents: Mapping[int, int]) -> "Monomial":
-        items = []
+        factors: list[int] = []
         for var, exp in sorted(exponents.items()):
             if var < 1:
                 raise ValueError(f"variable index must be >= 1, got {var}")
             if exp < 0:
                 raise ValueError(f"negative exponent for x{var}")
-            if exp > 0:
-                items.append((var, exp))
-        return Monomial(tuple(items))
+            factors += [var] * exp
+        return Monomial(factors)
+
+    @property
+    def exps(self) -> tuple[tuple[int, int], ...]:
+        return tuple((v, len(list(run))) for v, run in groupby(self))
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return len(self)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        # Both factors are valid, so merging their sorted exponent tuples
-        # gives a valid product without going through from_dict.
-        a, b = self.exps, other.exps
-        if not b:
-            return self
-        if not a:
-            return other
-        la, lb = len(a), len(b)
-        merged = []
-        i = j = 0
-        while i < la and j < lb:
-            va, vb = a[i][0], b[j][0]
-            if va < vb:
-                merged.append(a[i])
-                i += 1
-            elif vb < va:
-                merged.append(b[j])
-                j += 1
-            else:
-                merged.append((va, a[i][1] + b[j][1]))
-                i += 1
-                j += 1
-        return Monomial(tuple(merged) + a[i:] + b[j:])
+        return Monomial(sorted(self + other))
 
     def _sort_key(self):
-        # Graded lex: ascending degree, then descending lexicographic with
-        # x1 most significant.  (var, -exp) pairs compare exactly that way.
-        return (self.degree, tuple((v, -e) for v, e in self.exps))
+        # Graded lex, x1 most significant: within one degree this is
+        # ascending tuple order (see the module docstring).
+        return (len(self), self)
 
     def __str__(self) -> str:
-        if not self.exps:
+        # Degrees 1 and 2 skip exps: they are all the per-matrix path prints.
+        if len(self) == 1:
+            return f"x{self[0]}"
+        if len(self) == 2:
+            i, j = self
+            return f"x{i}*x{j}" if i < j else f"x{i}^2"
+        if not self:
             return "1"
         return "*".join(
             f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in self.exps
@@ -140,10 +140,13 @@ class F2Polynomial:
         return F2Polynomial(self.terms ^ other.terms)
 
     def __mul__(self, other: "F2Polynomial") -> "F2Polynomial":
+        # For a fixed a the products a*b over distinct b are distinct, so
+        # each row folds into the sum with one symmetric difference.
         acc: set[Monomial] = set()
         for a in self.terms:
-            for b in other.terms:
-                _toggle(acc, a * b)
+            acc.symmetric_difference_update(
+                [Monomial(sorted(a + b)) for b in other.terms]
+            )
         return F2Polynomial(frozenset(acc))
 
     def homogeneous_part(self, k: int) -> "F2Polynomial":
@@ -166,9 +169,9 @@ class F2Polynomial:
         """
         acc: set[Monomial] = set()
         for a in self.terms:
-            for b in other.terms:
-                if a.degree + b.degree <= k:
-                    _toggle(acc, a * b)
+            acc.symmetric_difference_update(
+                [Monomial(sorted(a + b)) for b in other.terms if len(b) <= k - len(a)]
+            )
         return F2Polynomial(frozenset(acc))
 
     def __str__(self) -> str:
@@ -235,10 +238,7 @@ class Deg2Vector:
         bits = self.bits
         while bits:
             if bits & 1:
-                i, j = index_pair(pos, self.d)
-                monomials.append(
-                    Monomial.from_dict({i: 2} if i == j else {i: 1, j: 1})
-                )
+                monomials.append(Monomial(index_pair(pos, self.d)))
             bits >>= 1
             pos += 1
         return F2Polynomial.from_monomials(monomials)
@@ -248,13 +248,9 @@ def deg2_to_vector(p: F2Polynomial, d: int) -> Deg2Vector:
     """Coordinate vector of a homogeneous degree-2 polynomial (or zero)."""
     bits = 0
     for m in p.terms:
-        if m.degree != 2:
-            raise NotHomogeneousDegree2(f"term {m} has degree {m.degree}")
-        if len(m.exps) == 1:
-            (i, _), = m.exps
-            j = i
-        else:
-            (i, _), (j, _) = m.exps
+        if len(m) != 2:
+            raise NotHomogeneousDegree2(f"term {m} has degree {len(m)}")
+        i, j = m
         if j > d:
             raise VariableOutOfRange(f"x{j} with d={d}")
         bits |= 1 << pair_index(i, j, d)

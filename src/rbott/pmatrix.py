@@ -128,7 +128,7 @@ def has_full_holonomy(E: PMatrix) -> bool:
 def _linear_form(col: tuple[int, ...], form) -> F2Polynomial:
     """Sum of the x_i over the rows i where form(col[i - 1]) is 1."""
     return F2Polynomial(
-        frozenset(Monomial(((i, 1),)) for i, v in enumerate(col, start=1) if form(v))
+        frozenset(Monomial((i,)) for i, v in enumerate(col, start=1) if form(v))
     )
 
 

@@ -53,6 +53,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             BottMatrix(((0, 1),))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            BottMatrix(())
+
+
+def test_columns_read_the_rows():
+    rng = random.Random(11)
+    for n in (1, 2, 5, 9):
+        A = random_bott(rng, n)
+        expected = [tuple(row[j] for row in A.rows) for j in range(n)]
+        assert A.columns() == expected
+        assert [A.column(j) for j in range(1, n + 1)] == expected
+        # the built columns are not a field: equality and hash see rows only
+        B = BottMatrix(A.rows)
+        assert A == B and hash(A) == hash(B)
+
 
 class TestTextFormat:
     def test_header_optional(self):

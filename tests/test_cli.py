@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbott import _kernels, cli, pmatrix
 from rbott.bott import BottMatrix, is_kahler
@@ -88,6 +92,44 @@ class TestInputErrors:
     def test_no_matrix_given(self, capsys):
         code, _, err = run(capsys, "check")
         assert code == 2
+
+    @pytest.mark.parametrize("cmd", ["check", "sw", "pmatrix", "generators", "verify"])
+    @pytest.mark.parametrize("text", ["00", "+0"])
+    def test_empty_matrix(self, capsys, tmp_path, cmd, text):
+        # "00" falls back to the header reading (0 rows), "+0" is a header
+        path = tmp_path / "m.txt"
+        path.write_text(text + "\n")
+        for source in (["--matrix", text], [str(path)]):
+            code, out, err = run(capsys, cmd, *source)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "at least one row" in err
+
+
+FUZZ_ALPHABET = "012+-; \t\n\r\u2028\u00b2\u0663"
+
+
+def _fuzz_main(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        # argparse reads a --matrix value with a leading "-" as an option
+        assert argv[2].startswith("-") and exc.code == 2
+        return
+    assert code in (0, 2, 3)
+    assert (stdout.getvalue() == "") == (code == 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(FUZZ_ALPHABET, max_size=30))
+def test_fuzz_matrix_text(text):
+    _fuzz_main(["check", "--matrix", text])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        path.write_text(text, encoding="utf-8")
+        _fuzz_main(["check", str(path)])
 
 
 class TestSw:
@@ -182,6 +224,17 @@ class TestCensusCommand:
         code, _, _ = run(capsys, "census", "--dim", "2", "--out", str(target))
         assert code == 0
         assert json.loads(target.read_text())["total"] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--dim", "12"], ["--dim", "0"], ["--dim", "9"], ["--dim", "2", "--workers", "0"]],
+    )
+    def test_refused_request_creates_no_out_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "new.json"
+        code, out, err = run(capsys, "census", *argv, "--out", str(target))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+        assert not target.exists()
 
     def test_refused_dimension_keeps_out_file(self, capsys, tmp_path):
         target = tmp_path / "r.json"

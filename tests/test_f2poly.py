@@ -1,8 +1,9 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rbott.f2poly import (
     Deg2Vector,
@@ -281,3 +282,77 @@ def test_monomial_equality_by_exponent_map():
 def test_no_zero_exponents_stored():
     m = Monomial.from_dict({1: 2, 2: 0})
     assert all(e > 0 for _, e in m.exps)
+
+
+# Reference arithmetic on exponent maps, independent of Monomial's layout:
+# a polynomial is the set of frozensets of (variable, exponent) items with
+# odd multiplicity.
+
+
+def _key(exponents):
+    return frozenset((v, e) for v, e in exponents.items() if e > 0)
+
+
+def _odd(keys):
+    return {k for k, c in Counter(keys).items() if c % 2}
+
+
+def _ref_product(p_keys, q_keys):
+    sums = []
+    for a in p_keys:
+        for b in q_keys:
+            total = Counter(dict(a))
+            total.update(dict(b))
+            sums.append(_key(total))
+    return _odd(sums)
+
+
+def _poly(maps):
+    return F2Polynomial.from_monomials(Monomial.from_dict(e) for e in maps)
+
+
+small_maps = st.lists(exponent_maps(3, 2), max_size=6)
+
+
+class TestAgainstReference:
+    @given(small_maps, small_maps, st.integers(0, 5))
+    @example([{1: 1}, {2: 1}], [{1: 1}, {2: 1}], 2)  # (x1 + x2)^2: cross terms cancel
+    @example([{1: 1}, {1: 1, 2: 1}], [{2: 1}, {}], 3)  # x1*x2 twice: cancels
+    def test_product_matches_exponent_maps(self, p_maps, q_maps, k):
+        p_keys = _odd(_key(e) for e in p_maps)
+        q_keys = _odd(_key(e) for e in q_maps)
+        expected = _ref_product(p_keys, q_keys)
+        p, q = _poly(p_maps), _poly(q_maps)
+        assert {frozenset(m.exps) for m in (p * q).terms} == expected
+        truncated = {t for t in expected if sum(e for _, e in t) <= k}
+        assert {frozenset(m.exps) for m in p.mul_truncated(q, k).terms} == truncated
+
+    @given(st.lists(st.lists(st.integers(1, 5), max_size=4).map(Counter), max_size=8))
+    def test_rendering_matches_graded_lex(self, maps):
+        # Rendering and order as defined before monomials became index
+        # tuples: sort by (degree, ((var, -exp), ...)).
+        def render(t):
+            items = sorted(t)
+            if not items:
+                return "1"
+            return "*".join(f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in items)
+
+        def old_key(t):
+            items = sorted(t)
+            return (sum(e for _, e in items), tuple((v, -e) for v, e in items))
+
+        keys = sorted(_odd(_key(e) for e in maps), key=old_key)
+        expected = " + ".join(render(t) for t in keys) if keys else "0"
+        assert str(_poly(maps)) == expected
+
+    @given(st.dictionaries(st.integers(1, 9), st.integers(0, 4), max_size=5))
+    def test_exps_round_trip(self, e):
+        m = Monomial.from_dict(e)
+        assert m.exps == tuple(sorted((v, x) for v, x in e.items() if x > 0))
+        assert m.degree == sum(e.values())
+        assert Monomial.from_dict(dict(m.exps)) == m
+
+    @pytest.mark.parametrize("bad", [{0: 1}, {-2: 1}, {1: -1}])
+    def test_from_dict_validates(self, bad):
+        with pytest.raises(ValueError):
+            Monomial.from_dict(bad)
