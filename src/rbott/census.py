@@ -21,9 +21,10 @@ import numpy as np
 from . import _kernels
 from .bott import BottMatrix
 
-# Largest default dimensions whose sweep finishes in minutes: the n = 9
-# theorem-only sweep took 1.5 min on one core of a 2-CPU VM, and n = 10
-# has 2^8 times as many orientable counter values.
+# Default ceilings.  On one core of a 2-CPU VM the n = 8 oracle sweep
+# takes ~0.2 s, and at n = 9 the theorem-only sweep takes ~9 s (with
+# the oracle ~40 s).  n = 10 has 2^8 times as many orientable counter
+# values as n = 9: ~40 min theorem-only, ~3 h with the oracle.
 DEFAULT_ORACLE_CEILING = 8
 DEFAULT_THEOREM_CEILING = 9
 MISMATCH_CAP = 100

@@ -12,9 +12,6 @@ exposes the cohomological spin test via degree-2 ideal membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
-from operator import xor
 
 from .f2poly import (
     F2Polynomial,
@@ -99,16 +96,21 @@ class PMatrix:
         return tuple(row[j - 1] for row in self.entries)
 
 
-def _row_subset_sums(E: PMatrix):
-    """Every nonempty row-subset sum, smallest subsets first.
+def _row_subset_sums(E: PMatrix) -> list[int]:
+    """Every nonempty row-subset sum, in no particular order.
 
     Entries add in F2^2 (xor of 0..3), so a row packed two bits per
-    column (column j at bits 2j, 2j+1) sums by integer xor.
+    column (column j at bits 2j, 2j+1) sums by integer xor.  The sums
+    over subsets of the first k + 1 rows are those over the first k,
+    then each of them xor row k + 1: one xor per subset.
     """
-    packed = [sum(v << 2 * j for j, v in enumerate(row)) for row in E.entries]
-    for size in range(1, E.d + 1):
-        for subset in combinations(packed, size):
-            yield reduce(xor, subset)
+    sums = [0]
+    for row in E.entries:
+        packed = 0
+        for v in reversed(row):
+            packed = packed << 2 | v
+        sums += [s ^ packed for s in sums]
+    return sums[1:]
 
 
 def is_free_action(E: PMatrix) -> bool:
@@ -145,12 +147,16 @@ def class_theta_j(E: PMatrix, j: int) -> F2Polynomial:
 
 
 def _linear_classes(E: PMatrix):
-    """(alphas, betas): alpha_j and beta_j of every column j, in order."""
-    columns = range(1, E.n + 1)
-    return (
-        tuple(class_alpha_j(E, j) for j in columns),
-        tuple(class_beta_j(E, j) for j in columns),
-    )
+    """(alphas, betas): alpha_j and beta_j of every column j, in order.
+
+    Reads each column once and builds each x_i once.
+    """
+    xs = [Monomial((i,)) for i in range(1, E.d + 1)]
+    alphas, betas = [], []
+    for col in zip(*E.entries):
+        alphas.append(F2Polynomial(frozenset(x for x, v in zip(xs, col) if alpha_form(v))))
+        betas.append(F2Polynomial(frozenset(x for x, v in zip(xs, col) if beta_form(v))))
+    return tuple(alphas), tuple(betas)
 
 
 @dataclass(frozen=True)
@@ -177,18 +183,19 @@ def sw_data(E: PMatrix) -> SWData:
     than from expanding the full n-fold product.
     """
     alphas, betas = _linear_classes(E)
-    w2 = F2Polynomial.zero()
+    # w2 = sum_j e1(c_1..c_{j-1}) c_j, summed in place
+    w2: set[Monomial] = set()
     prefix = F2Polynomial.zero()
     for a, b in zip(alphas, betas):
         c = a + b
-        w2 = w2 + prefix * c
+        w2.symmetric_difference_update((prefix * c).terms)
         prefix = prefix + c
     return SWData(
         d=E.d,
         alphas=alphas,
         betas=betas,
         w1=prefix,
-        w2=w2,
+        w2=F2Polynomial(frozenset(w2)),
         thetas=tuple(a * b for a, b in zip(alphas, betas)),
     )
 

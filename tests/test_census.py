@@ -101,6 +101,9 @@ class TestCensusCounts:
         [
             (4, 6, 6, 8, 8),
             (6, 192, 76, 176, 1024),
+            # n = 7 reaches the high counter bits, n = 8 crosses 512 table spans
+            (7, 0, 0, 1482, 32768),
+            (8, 28464, 4244, 17400, 2097152),
         ],
     )
     def test_regression_counts(self, n, kahler, spin, oracle_all, orientable):
@@ -242,6 +245,55 @@ class TestOrientableCounter:
             index_of(A) for A in enumerate_bott(n) if is_orientable(to_pmatrix(A))
         ]
         assert decoded == expected
+
+
+def _lanes(A):
+    """Rows then columns of A as bitmasks: bit j of row a, bit a of column j."""
+    n = A.n
+    rows = [sum(A.rows[a][j] << j for j in range(n)) for a in range(n)]
+    columns = [sum(A.rows[a][j] << a for a in range(n)) for j in range(n)]
+    return rows + columns
+
+
+class TestDecoder:
+    """The table decoder against the test-side decoder, value by value."""
+
+    @staticmethod
+    def _check(n, lo, hi):
+        batches = list(_kernels._batches(n, lo, hi))
+        decoded = np.concatenate(batches, axis=1)
+        assert decoded.shape == (2 * n, hi - lo)
+        for k, lanes in zip(range(lo, hi), decoded.T):
+            assert lanes.tolist() == _lanes(_decode_orientable(n, k)), k
+        return batches
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_counters_of_at_most_one_bit(self, n):
+        self._check(n, 0, 1 << _kernels.orientable_bits(n))
+
+    @pytest.mark.parametrize("n,seed", [(7, 1), (8, 2), (9, 3), (10, 4), (11, 5)])
+    def test_unaligned_windows_across_a_span(self, n, seed):
+        rng = random.Random(seed)
+        span = 1 << _kernels.SPAN_BITS
+        boundary = span * rng.randrange(1, (1 << _kernels.orientable_bits(n)) // span)
+        lo = boundary - rng.randrange(1, 300)
+        hi = boundary + rng.randrange(1, 300)
+        batches = self._check(n, lo, hi)
+        # one batch on each side: no batch crosses the span boundary
+        assert [b.shape[1] for b in batches] == [boundary - lo, hi - boundary]
+
+
+class TestSortingNetwork:
+    @pytest.mark.parametrize("n", range(12))
+    def test_sorts_every_zero_one_input(self, n):
+        # 0-1 principle: a comparator network that sorts every 0-1
+        # input sorts every input
+        network = _kernels._sorting_network(n)
+        for value in range(1 << n):
+            wires = [(value >> k) & 1 for k in range(n)]
+            for lo, hi in network:
+                wires[lo], wires[hi] = min(wires[lo], wires[hi]), max(wires[lo], wires[hi])
+            assert wires == sorted(wires), value
 
 
 def _referee_counts(n, indices):

@@ -97,6 +97,29 @@ class TestActionPredicates:
         # row 2 sums to (0,1): no 2 or 3
         assert not has_full_holonomy(KLEIN)
 
+    def test_match_per_subset_brute_force(self):
+        # Every nonempty row subset, summed entry by entry in P.
+        def brute(E):
+            free = full = True
+            for size in range(1, E.d + 1):
+                for subset in itertools.combinations(E.entries, size):
+                    digits = [0] * E.n
+                    for row in subset:
+                        digits = [pentry_add(a, b) for a, b in zip(digits, row)]
+                    free &= 1 in digits
+                    full &= 2 in digits or 3 in digits
+            return free, full
+
+        rng = random.Random(17)
+        seen = set()
+        for _ in range(300):
+            E = random_pmatrix(rng, max_d=4, max_n=6)
+            verdicts = (is_free_action(E), has_full_holonomy(E))
+            assert verdicts == brute(E), E
+            seen.add(verdicts)
+        # each predicate both holds and fails, in every combination
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
     def test_row_permutation_invariance(self):
         rng = random.Random(11)
         for _ in range(30):
