@@ -200,7 +200,7 @@ def _sorted_columns(network: tuple, columns: np.ndarray) -> np.ndarray:
     lanes = list(columns)
     for lo, hi in network:
         lanes[lo], lanes[hi] = np.minimum(lanes[lo], lanes[hi]), np.maximum(lanes[lo], lanes[hi])
-    return np.stack(lanes)
+    return np.array(lanes)
 
 
 def _spin_theorem(ordered: np.ndarray, rows: np.ndarray) -> np.ndarray:
