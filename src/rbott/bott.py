@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 
 from .pmatrix import PMatrix, admits_spin_oracle
 
@@ -226,7 +225,7 @@ class AffineIsometry:
     def __post_init__(self):
         if len(self.signs) != len(self.half_translation):
             raise DimensionMismatch("signs and translation lengths differ")
-        if not {*self.signs} <= {1, -1}:
+        if any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs must be +-1")
 
     @property
@@ -254,7 +253,7 @@ def compose(s: AffineIsometry, t: AffineIsometry) -> AffineIsometry:
     """Group law (S, a) * (T, b) = (S T, S b + a)."""
     if s.n != t.n:
         raise DimensionMismatch(f"{s.n} vs {t.n}")
-    signs = tuple(map(mul, s.signs, t.signs))
+    signs = tuple(a * b for a, b in zip(s.signs, t.signs))
     trans = tuple(
         sa * tb + ta
         for sa, tb, ta in zip(s.signs, t.half_translation, s.half_translation)
@@ -274,6 +273,6 @@ def generators(A: BottMatrix) -> list[AffineIsometry]:
     for i, row in enumerate(A.rows):
         # strictly upper triangular: row[k] is 0 for k <= i
         signs = tuple(-1 if v else 1 for v in row)
-        trans = (0,) * i + (1,) + (0,) * (n - 1 - i)
+        trans = tuple(1 if k == i else 0 for k in range(n))
         gens.append(AffineIsometry(signs, trans))
     return gens

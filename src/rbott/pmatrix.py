@@ -12,6 +12,7 @@ exposes the cohomological spin test via degree-2 ideal membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .f2poly import (
     F2Polynomial,
@@ -96,21 +97,26 @@ class PMatrix:
         return tuple(row[j - 1] for row in self.entries)
 
 
-def _row_subset_sums(E: PMatrix) -> list[int]:
-    """Every nonempty row-subset sum, in no particular order.
+def _row_subset_sums(E: PMatrix) -> Iterator[int]:
+    """Every nonempty row-subset sum, the single rows first.
 
     Entries add in F2^2 (xor of 0..3), so a row packed two bits per
-    column (column j at bits 2j, 2j+1) sums by integer xor.  The sums
-    over subsets of the first k + 1 rows are those over the first k,
-    then each of them xor row k + 1: one xor per subset.
+    column (column j at bits 2j, 2j+1) sums by integer xor.  After the
+    single rows, the subsets of two or more rows whose last row is p
+    are the nonempty subsets of the rows before p, each xor p: one xor
+    per subset.  The order matters for the predicates below, which stop
+    at the first failing subset: a single row fails at once on many
+    inputs (the last row of a Bott matrix's P-matrix has no 2 or 3),
+    where all the subsets are 2^d - 1.
     """
-    sums = [0]
-    for row in E.entries:
-        packed = 0
-        for v in reversed(row):
-            packed = packed << 2 | v
-        sums += [s ^ packed for s in sums]
-    return sums[1:]
+    packed = [sum(v << 2 * j for j, v in enumerate(row)) for row in E.entries]
+    yield from packed
+    sums: list[int] = []  # the nonempty subsets of the rows so far
+    for p in packed:
+        larger = [s ^ p for s in sums]
+        yield from larger
+        sums += larger
+        sums.append(p)
 
 
 def is_free_action(E: PMatrix) -> bool:

@@ -1,10 +1,12 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 
 from rbott import pmatrix
-from rbott.bott import to_pmatrix
+from rbott.bott import BottMatrix, to_pmatrix
 from rbott.f2poly import F2Polynomial, deg2_to_vector
 from rbott.pmatrix import (
     ColumnOutOfRange,
@@ -119,6 +121,33 @@ class TestActionPredicates:
             seen.add(verdicts)
         # each predicate both holds and fails, in every combination
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_subset_sums_single_rows_first(self):
+        rng = random.Random(23)
+        for _ in range(50):
+            E = random_pmatrix(rng)
+            packed = [sum(v << 2 * j for j, v in enumerate(row)) for row in E.entries]
+            sums = list(pmatrix._row_subset_sums(E))
+            assert sums[: E.d] == packed
+            assert sorted(sums) == sorted(
+                functools.reduce(operator.xor, subset)
+                for size in range(1, E.d + 1)
+                for subset in itertools.combinations(packed, size)
+            )
+
+    def test_early_exit_at_n48(self):
+        # 2^48 - 1 row subsets: these return only by stopping at a single row
+        rng = random.Random(48)
+        rows = [[0] * 48 for _ in range(48)]
+        for i in range(47):
+            for j in range(i + 1, 48):
+                rows[i][j] = rng.randrange(2)
+        E = to_pmatrix(BottMatrix(tuple(map(tuple, rows))))
+        # the last row is (0, ..., 0, 1): no 2 or 3
+        assert E.entries[-1] == (0,) * 47 + (1,)
+        assert not has_full_holonomy(E)
+        # a last row (0, ..., 0, 2) has no 1
+        assert not is_free_action(PMatrix(E.entries[:-1] + ((0,) * 47 + (2,),)))
 
     def test_row_permutation_invariance(self):
         rng = random.Random(11)
