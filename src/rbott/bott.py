@@ -3,9 +3,16 @@
 A strictly upper triangular n x n matrix over F2 determines a real Bott
 manifold.  This module builds the associated P-matrix, decides the
 Kähler condition (columns pair up into equal pairs), evaluates the
-combinatorial spin criterion on the reduced matrix, runs the
-cohomological spin test as an independent second route, and produces
-the crystallographic generators of the fundamental group.
+combinatorial spin criterion on the reduced matrix, decides spin by the
+cohomological criterion in closed form, runs the generic cohomological
+spin test (the referee) as an independent second route, and produces the
+crystallographic generators of the fundamental group.
+
+The Kähler test, the reduction, both spin criteria and the corollary
+work on a matrix's row and column bitmasks: bit j of row_masks[i] and
+bit i of column_masks[j] are both the entry a_ij (0-based), as in the
+census kernel.  to_pmatrix, generators and the text format read the
+entries themselves.
 """
 
 from __future__ import annotations
@@ -32,6 +39,20 @@ class DimensionMismatch(ValueError):
     pass
 
 
+# bytes 0 and 1 as the ASCII digits "0" and "1"
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+# the ASCII digits "0" and "1" as bytes 0 and 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack(bits: tuple) -> int:
+    """The integer whose bit k is bits[k], for entries that are 0 or 1."""
+    try:
+        return int(bytes(bits[::-1]).translate(_ASCII_BITS), 2)
+    except TypeError:  # entries such as 1.0 that bytes() does not take
+        return sum(1 << k for k, v in enumerate(bits) if v)
+
+
 @dataclass(frozen=True)
 class BottMatrix:
     """Strictly upper triangular square matrix over F2."""
@@ -45,6 +66,10 @@ class BottMatrix:
         for i, row in enumerate(self.rows):
             if len(row) != n:
                 raise ValueError(f"row {i + 1} has length {len(row)}, expected {n}")
+            # whole-row test first; the entry loop names the first bad entry
+            entries = tuple(row)
+            if entries.count(0) + entries.count(1) == n and 1 not in entries[: i + 1]:
+                continue
             for j, v in enumerate(row):
                 if v not in (0, 1):
                     raise ValueError(f"entry ({i + 1},{j + 1}) is {v}, not 0/1")
@@ -62,6 +87,16 @@ class BottMatrix:
     def _columns(self) -> tuple[tuple[int, ...], ...]:
         # Built on first use; not a field, so it stays out of __eq__/__hash__.
         return tuple(zip(*self.rows))
+
+    @cached_property
+    def row_masks(self) -> tuple[int, ...]:
+        """Bit j of row_masks[i] is a_ij (0-based)."""
+        return tuple(map(_pack, self.rows))
+
+    @cached_property
+    def column_masks(self) -> tuple[int, ...]:
+        """Bit i of column_masks[j] is a_ij (0-based): the transpose of row_masks."""
+        return tuple(map(_pack, self._columns))
 
     def column(self, j: int) -> tuple[int, ...]:
         return self._columns[j - 1]
@@ -90,7 +125,7 @@ class BottMatrix:
                 digits = ln.replace(" ", "").replace("\t", "")
                 if set(digits) - {"0", "1"}:
                     raise ValueError(f"bad matrix row: {ln!r}")
-                rows.append(tuple(int(c) for c in digits))
+                rows.append(tuple(digits.encode().translate(_BIT_VALUES)))
             return tuple(rows)
 
         first = lines[0].replace(" ", "").replace("\t", "")
@@ -138,7 +173,7 @@ def to_pmatrix(A: BottMatrix) -> PMatrix:
 
 
 def _column_multiplicities(A: BottMatrix) -> Counter:
-    return Counter(A.columns())
+    return Counter(A.column_masks)
 
 
 def is_kahler(A: BottMatrix) -> bool:
@@ -148,6 +183,11 @@ def is_kahler(A: BottMatrix) -> bool:
     of times (pair greedily within each equality class); forces even n.
     """
     return all(m % 2 == 0 for m in _column_multiplicities(A).values())
+
+
+def is_orientable(A: BottMatrix) -> bool:
+    """w1 = 0: every row of A has even weight."""
+    return all(r.bit_count() % 2 == 0 for r in A.row_masks)
 
 
 @dataclass(frozen=True)
@@ -160,20 +200,23 @@ class ReducedMatrix:
 
 
 def reduce(A: BottMatrix) -> ReducedMatrix:
-    """Keep the lexicographically smallest half of each column equality class."""
-    if not is_kahler(A):
-        raise NotKahler("columns do not pair up into equal pairs")
+    """Keep the first half, by index, of each column equality class.
+
+    The row sums are the bits of the xor of the kept column masks.
+    """
     mult = _column_multiplicities(A)
-    seen: Counter = Counter()
+    if any(m % 2 for m in mult.values()):
+        raise NotKahler("columns do not pair up into equal pairs")
+    left = {col: m // 2 for col, m in mult.items()}
     kept: list[int] = []
-    for j in range(1, A.n + 1):
-        col = A.column(j)
-        if seen[col] < mult[col] // 2:
+    sums = 0
+    for j, col in enumerate(A.column_masks, start=1):
+        if left[col]:
+            left[col] -= 1
             kept.append(j)
-            seen[col] += 1
+            sums ^= col
     cols = tuple(A.column(j) for j in kept)
-    row_sums = tuple(sum(row) % 2 for row in zip(*cols))
-    return ReducedMatrix(tuple(kept), cols, row_sums)
+    return ReducedMatrix(tuple(kept), cols, tuple(sums >> i & 1 for i in range(A.n)))
 
 
 def spin_main_theorem(A: BottMatrix) -> bool:
@@ -181,12 +224,30 @@ def spin_main_theorem(A: BottMatrix) -> bool:
 
     Requires the Kähler condition; raises NotKahler otherwise.
     """
-    reduced = reduce(A)
-    zero = (0,) * A.n
-    return all(
-        A.column(i) == zero
-        for i, s in enumerate(reduced.row_sums, start=1)
-        if s == 1
+    return spin_main_theorem_on(A, reduce(A))
+
+
+def spin_main_theorem_on(A: BottMatrix, reduced: ReducedMatrix) -> bool:
+    """spin_main_theorem, given the reduction of A already made."""
+    return all(col == 0 for col, s in zip(A.column_masks, reduced.row_sums) if s)
+
+
+def spin_closed_form(A: BottMatrix) -> bool:
+    """Cohomological spin criterion in closed form; defined for any Bott matrix.
+
+    With m_a the weight of row r_a and t_j = r_j xor (((m_j >> 1) & 1) << j):
+    spin iff every m_a is even and |r_i AND t_j| is even for all i < j.
+    The derivation from the cohomology ring of Kamishima and Masuda
+    ("Cohomological rigidity of real Bott manifolds", 2009) is in the
+    docstring of rbott._kernels; spin_oracle is the generic referee.
+    """
+    rows = A.row_masks
+    weights = [r.bit_count() for r in rows]
+    if any(m % 2 for m in weights):
+        return False
+    t = [r ^ ((m >> 1 & 1) << j) for j, (r, m) in enumerate(zip(rows, weights))]
+    return not any(
+        (rows[i] & t[j]).bit_count() % 2 for j in range(A.n) for i in range(j)
     )
 
 
@@ -202,11 +263,8 @@ def corollary_check(A: BottMatrix) -> bool:
     """
     if not is_kahler(A):
         raise NotKahler("columns do not pair up into equal pairs")
-    zero = (0,) * A.n
     return all(
-        m % 4 == 0
-        for col, m in _column_multiplicities(A).items()
-        if col != zero
+        m % 4 == 0 for col, m in _column_multiplicities(A).items() if col
     )
 
 

@@ -151,7 +151,8 @@ def run_census(
     flag).  Requests that check_request refuses raise before any work.
     """
     check_request(n, oracle, workers, ceiling)
-    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
 
     start = time.perf_counter()
     ranges = partition_space(n, workers)

@@ -63,18 +63,23 @@ def _fmt_tri(value) -> str:
 
 
 def _check_fields(A: bott.BottMatrix) -> dict:
+    """The verdicts of ``check``, read from the row and column bitmasks of A.
+
+    spin_oracle is the cohomological criterion in closed form
+    (bott.spin_closed_form), so check builds no Stiefel-Whitney data;
+    sw and verify run the generic referee.
+    """
     kahler = bott.is_kahler(A)
-    data = pmx.sw_data(bott.to_pmatrix(A))
-    fields = {
+    reduced = bott.reduce(A) if kahler else None
+    return {
         "dimension": A.n,
         "strictly_upper": True,
         "kahler": kahler,
-        "orientable": data.w1.is_zero(),
-        "spin_theorem": bott.spin_main_theorem(A) if kahler else None,
-        "spin_oracle": pmx.is_spin(data),
-        "reduced_row_sums": list(bott.reduce(A).row_sums) if kahler else None,
+        "orientable": bott.is_orientable(A),
+        "spin_theorem": bott.spin_main_theorem_on(A, reduced) if kahler else None,
+        "spin_oracle": bott.spin_closed_form(A),
+        "reduced_row_sums": list(reduced.row_sums) if kahler else None,
     }
-    return fields
 
 
 def cmd_check(args) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbott import _kernels, cli, pmatrix
+from rbott import _kernels, bott, cli, pmatrix
 from rbott.bott import BottMatrix, is_kahler
 
 PAPER_SPEC = "001111;001111;000011;000011;000000;000000"
@@ -297,35 +297,70 @@ class TestVerify:
         assert "residual:" in out
 
 
+@pytest.fixture()
+def sw_calls(monkeypatch):
+    """Every sw_data call the CLI makes, by the name it looks up."""
+    assert cli.pmx is pmatrix
+    calls = []
+    real = pmatrix.sw_data
+
+    def counting(E):
+        calls.append(E)
+        return real(E)
+
+    monkeypatch.setattr(pmatrix, "sw_data", counting)
+    return calls
+
+
 class TestOneSWComputation:
-    """check, sw and verify each build the Stiefel-Whitney data once."""
+    """sw and verify each build the Stiefel-Whitney data once."""
 
-    @pytest.fixture()
-    def sw_calls(self, monkeypatch):
-        assert cli.pmx is pmatrix  # the name the CLI looks up
-        calls = []
-        real = pmatrix.sw_data
-
-        def counting(E):
-            calls.append(E)
-            return real(E)
-
-        monkeypatch.setattr(pmatrix, "sw_data", counting)
-        return calls
-
-    @pytest.mark.parametrize("cmd", ["check", "sw", "verify"])
+    @pytest.mark.parametrize("cmd", ["sw", "verify"])
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_paper_example(self, capsys, sw_calls, cmd, json_flag):
         code, _, _ = run(capsys, cmd, "--matrix", PAPER_SPEC, *json_flag)
         assert code == 0
         assert len(sw_calls) == 1
 
-    @pytest.mark.parametrize("cmd", ["check", "sw", "verify"])
+    @pytest.mark.parametrize("cmd", ["sw", "verify"])
     def test_seeded_kahler_n12(self, capsys, sw_calls, cmd, kahler12_spec):
         assert is_kahler(BottMatrix.from_inline(kahler12_spec))
         code, _, _ = run(capsys, cmd, "--matrix", kahler12_spec, "--json")
         assert code == 0
         assert len(sw_calls) == 1
+
+
+class TestCheckBuildsNoSWData:
+    """check reads every verdict from bitmasks: no P-matrix, no SW data."""
+
+    @pytest.fixture()
+    def pmatrix_calls(self, monkeypatch):
+        calls = []
+        real = bott.to_pmatrix
+
+        def counting(A):
+            calls.append(A)
+            return real(A)
+
+        monkeypatch.setattr(bott, "to_pmatrix", counting)
+        return calls
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_paper_example(self, capsys, sw_calls, pmatrix_calls, json_flag):
+        code, _, _ = run(capsys, "check", "--matrix", PAPER_SPEC, *json_flag)
+        assert code == 0
+        assert len(sw_calls) == len(pmatrix_calls) == 0
+
+    def test_seeded_kahler_n12(self, capsys, sw_calls, pmatrix_calls, kahler12_spec):
+        assert is_kahler(BottMatrix.from_inline(kahler12_spec))
+        code, _, _ = run(capsys, "check", "--matrix", kahler12_spec, "--json")
+        assert code == 0
+        assert len(sw_calls) == len(pmatrix_calls) == 0
+
+    def test_not_kahler(self, capsys, sw_calls, pmatrix_calls):
+        code, doc, _ = run_json(capsys, "check", "--matrix", "011;001;000")
+        assert code == 0 and doc["kahler"] is False
+        assert len(sw_calls) == len(pmatrix_calls) == 0
 
 
 def test_parser_built_once_per_process(capsys):
