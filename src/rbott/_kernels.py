@@ -33,8 +33,8 @@ order the free bits alike, so the order could differ only where two
 matrices first differ, from the most significant end, in a parity bit.
 In the full counter the entry (a, a+1) is the least significant bit of
 row a, so that would need row a to agree in every free bit but not in
-their parity, which cannot happen.  Mismatches are reported as full
-counter values.
+their parity, which cannot happen.  So the mismatches, reported as
+their row bitmasks, come in full counter order.
 
 Write m_a = |r_a| for the row weights and m_ab = |r_a AND r_b|.  For the
 P-matrix of a Bott matrix the generators of the characteristic ideal are
@@ -92,10 +92,6 @@ N_COUNTS = 6
 
 BACKEND = "numpy"
 
-# mismatches are full counter values, and the full counter range
-# 2^(n(n-1)/2) fits a signed 64-bit int up to here
-MAX_DIM = 11
-
 # counter values per batch
 CHUNK = 4096
 
@@ -139,8 +135,6 @@ class _Layout(NamedTuple):
     network: tuple           # sorting network comparators
     pairs: tuple             # (i, j) lanes of the oracle's pairs i < j < n-2
     diagonal: np.ndarray     # (n, 1): bit a of lane a
-    columns: np.ndarray      # (n, 1): a + 1, the first column of row a
-    full_shifts: np.ndarray  # (n, 1): where row a starts in the full counter
 
 
 @functools.cache
@@ -165,11 +159,9 @@ def _layout(n: int) -> _Layout:
         network=tuple((lo + 1, hi + 1) for lo, hi in _sorting_network(n - 1)),
         pairs=np.triu_indices(max(n - 2, 0), 1),
         diagonal=(np.uint16(1) << lanes.astype(np.uint16))[:, None],
-        columns=(lanes + 1)[:, None],
-        full_shifts=(lanes * n - lanes * (lanes + 1) // 2)[:, None],
     )
     # every caller shares the layout, and batches are views of the table
-    for array in (table, layout.high, *layout.pairs, layout.diagonal, layout.columns, layout.full_shifts):
+    for array in (table, layout.high, *layout.pairs, layout.diagonal):
         array.setflags(write=False)
     return layout
 
@@ -229,14 +221,14 @@ def _spin_oracle(layout: _Layout, rows: np.ndarray) -> np.ndarray:
 def census_range(n, lo, hi, with_oracle, mismatch_cap):
     """Counts over the orientable counter values [lo, hi), in the IDX_* layout.
 
-    Returns (counts, mismatches): the full counter values of the first
-    ``mismatch_cap`` Kähler matrices where theorem and oracle disagree,
-    in counter order.
+    Returns (counts, mismatches): the first ``mismatch_cap`` Kähler
+    matrices where theorem and oracle disagree, in counter order, each
+    as the tuple of its n row bitmasks.
     """
     layout = _layout(n)
     counts = np.zeros(N_COUNTS, dtype=np.int64)
     counts[IDX_ORIENTABLE] = hi - lo
-    mismatches: list[int] = []
+    mismatches: list[tuple[int, ...]] = []
     for batch in _batches(n, lo, hi):
         rows = batch[:n]
 
@@ -250,8 +242,7 @@ def census_range(n, lo, hi, with_oracle, mismatch_cap):
             oracle = _spin_oracle(layout, rows)
             counts[IDX_SPIN_ORACLE_ALL] += np.count_nonzero(oracle)
             counts[IDX_SPIN_ORACLE_KAHLER] += np.count_nonzero(oracle & kahler)
-            disagree = rows[:, kahler & (oracle != theorem)].astype(np.int64)
-            full = ((disagree >> layout.columns) << layout.full_shifts).sum(axis=0)
-            counts[IDX_MISMATCH] += full.size
-            mismatches += full[: mismatch_cap - len(mismatches)].tolist()
+            disagree = rows[:, kahler & (oracle != theorem)].T
+            counts[IDX_MISMATCH] += len(disagree)
+            mismatches += map(tuple, disagree[: mismatch_cap - len(mismatches)].tolist())
     return counts, mismatches

@@ -156,7 +156,8 @@ class BottMatrix:
         return BottMatrix.from_text(spec.replace(";", "\n"))
 
     def to_text(self, header: bool = False) -> str:
-        body = "\n".join("".join(str(v) for v in row) for row in self.rows)
+        # entries such as True or 1.0 pass validation; from_text reads only digits
+        body = "\n".join("".join("1" if v else "0" for v in row) for row in self.rows)
         return f"{self.n}\n{body}" if header else body
 
 
@@ -172,17 +173,13 @@ def to_pmatrix(A: BottMatrix) -> PMatrix:
     return PMatrix(entries)
 
 
-def _column_multiplicities(A: BottMatrix) -> Counter:
-    return Counter(A.column_masks)
-
-
 def is_kahler(A: BottMatrix) -> bool:
     """Ishida's criterion: the columns split into pairs of equal columns.
 
     Equivalent to every distinct column value occurring an even number
     of times (pair greedily within each equality class); forces even n.
     """
-    return all(m % 2 == 0 for m in _column_multiplicities(A).values())
+    return all(m % 2 == 0 for m in Counter(A.column_masks).values())
 
 
 def is_orientable(A: BottMatrix) -> bool:
@@ -204,7 +201,7 @@ def reduce(A: BottMatrix) -> ReducedMatrix:
 
     The row sums are the bits of the xor of the kept column masks.
     """
-    mult = _column_multiplicities(A)
+    mult = Counter(A.column_masks)
     if any(m % 2 for m in mult.values()):
         raise NotKahler("columns do not pair up into equal pairs")
     left = {col: m // 2 for col, m in mult.items()}
@@ -261,11 +258,10 @@ def corollary_check(A: BottMatrix) -> bool:
 
     A sufficient condition for spin; requires the Kähler condition.
     """
-    if not is_kahler(A):
+    mult = Counter(A.column_masks)
+    if any(m % 2 for m in mult.values()):
         raise NotKahler("columns do not pair up into equal pairs")
-    return all(
-        m % 4 == 0 for col, m in _column_multiplicities(A).items() if col
-    )
+    return all(m % 4 == 0 for col, m in mult.items() if col)
 
 
 @dataclass(frozen=True)

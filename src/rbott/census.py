@@ -5,7 +5,9 @@ row-major, are the bits of a binary counter (position (1,2) is the
 least significant bit).  Censuses sweep only the orientable matrices, in
 the same order, through the kernel's orientable counter, and shard that
 index space into disjoint ranges, so worker counts never change the
-resulting counts.
+resulting counts.  The kernel hands back each matrix where theorem and
+oracle disagree as its row bitmasks; the report gives it in the matrix
+file format of BottMatrix.to_text.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ from .bott import BottMatrix
 DEFAULT_ORACLE_CEILING = 8
 DEFAULT_THEOREM_CEILING = 9
 MISMATCH_CAP = 100
+
+# No ceiling goes past this: n = 12 has 2^55 orientable counter values,
+# about 38 years at n = 9's ~33 ns per matrix theorem-only (~160 years
+# at ~140 ns with the oracle), and the cost per matrix grows with n.
+MAX_DIM = 11
 
 
 class DimensionTooLarge(ValueError):
@@ -95,9 +102,8 @@ def check_request(
 ) -> None:
     """Refuse a census that run_census would refuse, before any work.
 
-    ValueError for n < 1 or workers < 1; DimensionTooLarge when the
-    counter does not fit the kernel's int64 range (whatever the ceiling)
-    or n exceeds the ceiling.
+    ValueError for n < 1 or workers < 1; DimensionTooLarge when n
+    exceeds MAX_DIM (whatever the ceiling) or the ceiling.
     """
     if ceiling is None:
         ceiling = DEFAULT_ORACLE_CEILING if oracle else DEFAULT_THEOREM_CEILING
@@ -105,10 +111,10 @@ def check_request(
         raise ValueError("dimension must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if n > _kernels.MAX_DIM:
+    if n > MAX_DIM:
         raise DimensionTooLarge(
             f"n={n} has 2^{free_bit_count(n)} matrices; the census counter "
-            f"is limited to n <= {_kernels.MAX_DIM}"
+            f"is limited to n <= {MAX_DIM}"
         )
     if n > ceiling:
         raise DimensionTooLarge(f"n={n} exceeds ceiling {ceiling}")
@@ -169,11 +175,11 @@ def run_census(
             results = list(pool.map(shard, ranges))
 
     counts = np.zeros(_kernels.N_COUNTS, dtype=np.int64)
-    mismatch_idx: list[int] = []
+    mismatch_rows: list[tuple[int, ...]] = []
     for shard_counts, shard_mis in results:
         counts += shard_counts
-        mismatch_idx.extend(shard_mis)
-    mismatch_idx = mismatch_idx[:MISMATCH_CAP]
+        mismatch_rows.extend(shard_mis)
+    mismatch_rows = mismatch_rows[:MISMATCH_CAP]
 
     elapsed = time.perf_counter() - start
     return CensusReport(
@@ -189,7 +195,8 @@ def run_census(
         ),
         orientable_count=int(counts[_kernels.IDX_ORIENTABLE]),
         mismatches=[
-            matrix_from_index(n, i).to_text() for i in mismatch_idx
+            BottMatrix(tuple(tuple(r >> j & 1 for j in range(n)) for r in rows)).to_text()
+            for rows in mismatch_rows
         ],
         mismatch_count=int(counts[_kernels.IDX_MISMATCH]),
         mismatch_truncated=int(counts[_kernels.IDX_MISMATCH]) > MISMATCH_CAP,

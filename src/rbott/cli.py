@@ -4,6 +4,10 @@ Commands: check, sw, pmatrix, generators, census, verify.  Exit codes:
 0 success, 2 input error, 3 mathematical inconsistency between the
 combinatorial spin criterion and the cohomological oracle (never
 expected).
+
+Each per-matrix command computes every result once, into one document.
+With --json the document is printed as JSON; in text mode its
+_render_<command> function formats it and computes nothing.
 """
 
 from __future__ import annotations
@@ -48,12 +52,13 @@ def _load_matrix(args) -> bott.BottMatrix:
         raise InputError(f"{source}: {exc}")
 
 
-def _emit(args, document: dict, text_lines: list[str]) -> None:
+def _emit(args, document: dict, render) -> None:
+    """Print the document as JSON, or in text mode the lines render(document)."""
     if args.json:
         document = {"schema_version": SCHEMA_VERSION, **document}
         print(json.dumps(document, indent=2))
     else:
-        print("\n".join(text_lines))
+        print("\n".join(render(document)))
 
 
 def _fmt_tri(value) -> str:
@@ -62,16 +67,18 @@ def _fmt_tri(value) -> str:
     return "true" if value else "false"
 
 
-def _check_fields(A: bott.BottMatrix) -> dict:
-    """The verdicts of ``check``, read from the row and column bitmasks of A.
+def cmd_check(args) -> int:
+    """check's verdicts, read from the row and column bitmasks of the matrix.
 
     spin_oracle is the cohomological criterion in closed form
     (bott.spin_closed_form), so check builds no Stiefel-Whitney data;
     sw and verify run the generic referee.
     """
+    A = _load_matrix(args)
     kahler = bott.is_kahler(A)
     reduced = bott.reduce(A) if kahler else None
-    return {
+    document = {
+        "command": "check",
         "dimension": A.n,
         "strictly_upper": True,
         "kahler": kahler,
@@ -80,70 +87,82 @@ def _check_fields(A: bott.BottMatrix) -> dict:
         "spin_oracle": bott.spin_closed_form(A),
         "reduced_row_sums": list(reduced.row_sums) if kahler else None,
     }
-
-
-def cmd_check(args) -> int:
-    A = _load_matrix(args)
-    fields = _check_fields(A)
-    lines = [
-        f"dimension:        {fields['dimension']}",
-        f"strictly_upper:   {_fmt_tri(fields['strictly_upper'])}",
-        f"kahler:           {_fmt_tri(fields['kahler'])}",
-        f"orientable:       {_fmt_tri(fields['orientable'])}",
-        f"spin_theorem:     {_fmt_tri(fields['spin_theorem'])}",
-        f"spin_oracle:      {_fmt_tri(fields['spin_oracle'])}",
-        "reduced_row_sums: "
-        + (
-            "".join(str(s) for s in fields["reduced_row_sums"])
-            if fields["reduced_row_sums"] is not None
-            else "n/a"
-        ),
-    ]
-    _emit(args, {"command": "check", **fields}, lines)
-    if fields["spin_theorem"] is not None and fields["spin_theorem"] != fields["spin_oracle"]:
+    _emit(args, document, _render_check)
+    theorem = document["spin_theorem"]
+    if theorem is not None and theorem != document["spin_oracle"]:
         print("error: spin criterion and oracle disagree", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 
 
+def _render_check(doc: dict) -> list[str]:
+    sums = doc["reduced_row_sums"]
+    verdicts = ("strictly_upper", "kahler", "orientable", "spin_theorem", "spin_oracle")
+    fields = {
+        "dimension": doc["dimension"],
+        **{key: _fmt_tri(doc[key]) for key in verdicts},
+        "reduced_row_sums": "n/a" if sums is None else "".join(map(str, sums)),
+    }
+    return [f"{key + ':':<18}{value}" for key, value in fields.items()]
+
+
 def cmd_sw(args) -> int:
     A = _load_matrix(args)
     data = pmx.sw_data(bott.to_pmatrix(A))
-    space = pmx.ideal_deg2(data)
-    per_column = []
-    lines = []
-    for j, (a, b, t) in enumerate(zip(data.alphas, data.betas, data.thetas), start=1):
-        per_column.append(
-            {"j": j, "alpha": str(a), "beta": str(b), "theta": str(t)}
-        )
-        lines.append(f"alpha_{j} = {a}")
-        lines.append(f"beta_{j}  = {b}")
-        lines.append(f"theta_{j} = {t}")
-    lines.append(f"w1 = {data.w1}")
-    lines.append(f"w2 = {data.w2}")
-    lines.append(f"ideal degree-2 rank = {space.dimension}")
     document = {
         "command": "sw",
         "dimension": A.n,
-        "classes": per_column,
+        "classes": [
+            {"j": j, "alpha": str(a), "beta": str(b), "theta": str(t)}
+            for j, (a, b, t) in enumerate(zip(data.alphas, data.betas, data.thetas), start=1)
+        ],
         "w1": str(data.w1),
         "w2": str(data.w2),
-        "ideal_deg2_rank": space.dimension,
+        "ideal_deg2_rank": pmx.ideal_deg2(data).dimension,
     }
-    _emit(args, document, lines)
+    _emit(args, document, _render_sw)
     return EXIT_OK
 
 
+def _render_sw(doc: dict) -> list[str]:
+    lines = []
+    for c in doc["classes"]:
+        j = c["j"]
+        lines += [
+            f"alpha_{j} = {c['alpha']}",
+            f"beta_{j}  = {c['beta']}",
+            f"theta_{j} = {c['theta']}",
+        ]
+    return lines + [
+        f"w1 = {doc['w1']}",
+        f"w2 = {doc['w2']}",
+        f"ideal degree-2 rank = {doc['ideal_deg2_rank']}",
+    ]
+
+
 def cmd_pmatrix(args) -> int:
-    A = _load_matrix(args)
-    E = bott.to_pmatrix(A)
+    E = bott.to_pmatrix(_load_matrix(args))
     document = {
         "command": "pmatrix",
         "d": E.d,
         "n": E.n,
         "rows": [list(row) for row in E.entries],
     }
-    _emit(args, document, [E.to_text()])
+    _emit(args, document, _render_pmatrix)
+    return EXIT_OK
+
+
+def _render_pmatrix(doc: dict) -> list[str]:
+    return ["".join(map(str, row)) for row in doc["rows"]]
+
+
+def cmd_generators(args) -> int:
+    gens = bott.generators(_load_matrix(args))
+    items = [
+        {"name": f"s{i}", "signs": list(g.signs), "translation_halves": list(g.half_translation)}
+        for i, g in enumerate(gens, start=1)
+    ]
+    _emit(args, {"command": "generators", "generators": items}, _render_generators)
     return EXIT_OK
 
 
@@ -153,24 +172,13 @@ def _fmt_half(t: int) -> str:
     return f"{t}/2"
 
 
-def cmd_generators(args) -> int:
-    A = _load_matrix(args)
-    gens = bott.generators(A)
-    items = []
+def _render_generators(doc: dict) -> list[str]:
     lines = []
-    for i, g in enumerate(gens, start=1):
-        items.append(
-            {
-                "name": f"s{i}",
-                "signs": list(g.signs),
-                "translation_halves": list(g.half_translation),
-            }
-        )
-        signs = ", ".join(f"{s:+d}"[0] + "1" for s in g.signs)
-        trans = ", ".join(_fmt_half(t) for t in g.half_translation)
-        lines.append(f"s{i}: diag({signs}), t = ({trans})")
-    _emit(args, {"command": "generators", "generators": items}, lines)
-    return EXIT_OK
+    for g in doc["generators"]:
+        signs = ", ".join(f"{s:+d}"[0] + "1" for s in g["signs"])
+        trans = ", ".join(_fmt_half(t) for t in g["translation_halves"])
+        lines.append(f"{g['name']}: diag({signs}), t = ({trans})")
+    return lines
 
 
 def cmd_census(args) -> int:
@@ -213,60 +221,59 @@ def cmd_census(args) -> int:
 
 def cmd_verify(args) -> int:
     A = _load_matrix(args)
-    if not bott.is_kahler(A):
+    try:
+        reduced = bott.reduce(A)
+    except bott.NotKahler:
         raise InputError("matrix is not Kähler; verify needs a column pairing")
     data = pmx.sw_data(bott.to_pmatrix(A))
-    reduced = bott.reduce(A)
-    J = [i for i, s in enumerate(reduced.row_sums, start=1) if s == 1]
-    theorem = bott.spin_main_theorem(A)
-
-    space = pmx.ideal_deg2(data)
+    w2 = str(data.w2)
     w2_vec = deg2_to_vector(data.w2, data.d)
-    trace = space.reduction_trace(w2_vec)
-    residual = space.reduce(w2_vec)
-    oracle = data.w1.is_zero() and residual.is_zero()
-
-    lines = [
-        f"row sums of reduced matrix: {''.join(str(s) for s in reduced.row_sums)}",
-        f"J = {{i : sum_i = 1}} = {set(J) if J else '{}'}",
-        f"w2 = {data.w2}",
-        "theta generators:",
+    trace = pmx.ideal_deg2(data).reduction_trace(w2_vec)
+    steps = [
+        {"subtracted": str(basis_vec.to_poly()), "remainder": str(remainder.to_poly())}
+        for basis_vec, remainder in trace
     ]
-    for j, t in enumerate(data.thetas, start=1):
-        lines.append(f"  theta_{j} = {t}")
-    lines.append("reduction of w2 against the theta span:")
-    if not trace:
-        lines.append("  (w2 meets no basis pivot; left unchanged)")
-    steps = []
-    for basis_vec, remainder in trace:
-        steps.append(
-            {"subtracted": str(basis_vec.to_poly()), "remainder": str(remainder.to_poly())}
-        )
-        lines.append(
-            f"  - {basis_vec.to_poly()}  ->  remainder {remainder.to_poly()}"
-        )
-    lines.append(f"residual: {residual.to_poly()}")
-    lines.append(f"spin by reduced-matrix criterion: {_fmt_tri(theorem)}")
-    lines.append(f"spin by cohomological oracle:     {_fmt_tri(oracle)}")
+    # w2 reduces to the last remainder, or stays as it is when no pivot meets it
+    residual = trace[-1][1] if trace else w2_vec
+    theorem = bott.spin_main_theorem_on(A, reduced)
+    oracle = data.w1.is_zero() and residual.is_zero()
     document = {
         "command": "verify",
         "dimension": A.n,
         "reduced_row_sums": list(reduced.row_sums),
-        "odd_rows": J,
-        "w2": str(data.w2),
+        "odd_rows": [i for i, s in enumerate(reduced.row_sums, start=1) if s],
+        "w2": w2,
         "thetas": [str(t) for t in data.thetas],
         "reduction_steps": steps,
-        "residual": str(residual.to_poly()),
+        "residual": steps[-1]["remainder"] if steps else w2,
         "spin_theorem": theorem,
         "spin_oracle": oracle,
     }
-    agree = theorem == oracle
-    if agree:
-        lines.append("verdicts agree")
-    else:
-        lines.append("VERDICTS DISAGREE")
-    _emit(args, document, lines)
-    return EXIT_OK if agree else EXIT_MISMATCH
+    _emit(args, document, _render_verify)
+    return EXIT_OK if theorem == oracle else EXIT_MISMATCH
+
+
+def _render_verify(doc: dict) -> list[str]:
+    J = doc["odd_rows"]
+    lines = [
+        f"row sums of reduced matrix: {''.join(map(str, doc['reduced_row_sums']))}",
+        f"J = {{i : sum_i = 1}} = {set(J) if J else '{}'}",
+        f"w2 = {doc['w2']}",
+        "theta generators:",
+        *(f"  theta_{j} = {t}" for j, t in enumerate(doc["thetas"], start=1)),
+        "reduction of w2 against the theta span:",
+    ]
+    if not doc["reduction_steps"]:
+        lines.append("  (w2 meets no basis pivot; left unchanged)")
+    for step in doc["reduction_steps"]:
+        lines.append(f"  - {step['subtracted']}  ->  remainder {step['remainder']}")
+    lines += [
+        f"residual: {doc['residual']}",
+        f"spin by reduced-matrix criterion: {_fmt_tri(doc['spin_theorem'])}",
+        f"spin by cohomological oracle:     {_fmt_tri(doc['spin_oracle'])}",
+        "verdicts agree" if doc["spin_theorem"] == doc["spin_oracle"] else "VERDICTS DISAGREE",
+    ]
+    return lines
 
 
 def _add_matrix_args(sub):

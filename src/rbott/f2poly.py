@@ -23,7 +23,6 @@ graded lex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import groupby
 from typing import Iterable, Mapping
 
@@ -181,10 +180,6 @@ class F2Polynomial:
         return " + ".join(str(m) for m in ordered)
 
 
-def poly_sum(polys: Iterable[F2Polynomial]) -> F2Polynomial:
-    return reduce(F2Polynomial.__add__, polys, F2Polynomial.zero())
-
-
 def deg2_length(d: int) -> int:
     return d * (d + 1) // 2
 
@@ -298,9 +293,6 @@ class F2RowSpace:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def basis_vectors(self) -> list[Deg2Vector]:
-        return [Deg2Vector(b, self.d) for b in self.basis]
 
     def reduce(self, v: Deg2Vector) -> Deg2Vector:
         """Remainder of v after reduction by the echelon basis."""

@@ -19,7 +19,6 @@ from .f2poly import (
     F2RowSpace,
     Monomial,
     deg2_to_vector,
-    poly_sum,
     row_space_membership,
 )
 
@@ -73,23 +72,6 @@ class PMatrix:
     @property
     def n(self) -> int:
         return len(self.entries[0])
-
-    @staticmethod
-    def from_text(text: str) -> "PMatrix":
-        """Parse d lines of digits 0-3, contiguous or whitespace-separated."""
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            digits = line.split() if " " in line or "\t" in line else list(line)
-            rows.append(tuple(int(tok) for tok in digits))
-        if not rows:
-            raise ValueError("empty P-matrix text")
-        return PMatrix(tuple(rows))
-
-    def to_text(self) -> str:
-        return "\n".join("".join(str(v) for v in row) for row in self.entries)
 
     def column(self, j: int) -> tuple[int, ...]:
         if not 1 <= j <= self.n:
@@ -240,7 +222,10 @@ def characteristic_ideal_deg2(E: PMatrix) -> F2RowSpace:
 def is_orientable(E: PMatrix) -> bool:
     """True iff w1 = sum_j (alpha_j + beta_j) vanishes; builds nothing of degree 2."""
     alphas, betas = _linear_classes(E)
-    return poly_sum(a + b for a, b in zip(alphas, betas)).is_zero()
+    w1 = F2Polynomial.zero()
+    for a, b in zip(alphas, betas):
+        w1 += a + b
+    return w1.is_zero()
 
 
 def admits_spin_oracle(E: PMatrix) -> bool:

@@ -94,6 +94,17 @@ class TestTextFormat:
             assert BottMatrix.from_text(A.to_text()) == A
             assert BottMatrix.from_text(A.to_text(header=True)) == A
 
+    @pytest.mark.parametrize(
+        "rows",
+        [((0, 1.0, True), (0, 0, 0), (0, 0, 0)), ((0, True), (False, 0.0))],
+    )
+    def test_round_trip_of_bool_and_float_entries(self, rows):
+        # validation accepts entries equal to 0 or 1; the text has digits only
+        A = BottMatrix(rows)
+        assert set(A.to_text()) <= set("01\n")
+        assert BottMatrix.from_text(A.to_text()) == A
+        assert BottMatrix.from_text(A.to_text(header=True)) == A
+
 
 class TestToPMatrix:
     def test_klein(self, klein):

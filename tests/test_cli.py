@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from rbott import _kernels, bott, cli, pmatrix
 from rbott.bott import BottMatrix, is_kahler
+from rbott.f2poly import F2RowSpace
 
 PAPER_SPEC = "001111;001111;000011;000011;000000;000000"
 
@@ -361,6 +362,62 @@ class TestCheckBuildsNoSWData:
         code, doc, _ = run_json(capsys, "check", "--matrix", "011;001;000")
         assert code == 0 and doc["kahler"] is False
         assert len(sw_calls) == len(pmatrix_calls) == 0
+
+
+class TestOneDocument:
+    """Each per-matrix command builds one document; text mode only formats it."""
+
+    COMMANDS = ("check", "sw", "pmatrix", "generators", "verify")
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_json_runs_no_renderer(self, capsys, monkeypatch, cmd):
+        def refuse(doc):
+            raise AssertionError("text renderer ran under --json")
+
+        for name in self.COMMANDS:
+            monkeypatch.setattr(cli, f"_render_{name}", refuse)
+        code, doc, _ = run_json(capsys, cmd, "--matrix", PAPER_SPEC)
+        assert code == 0 and doc["command"] == cmd
+
+    @pytest.fixture()
+    def calls(self, monkeypatch, sw_calls):
+        """Calls per function that verify might make, counted by name."""
+        counted = {"sw_data": sw_calls}
+        targets = {
+            "bott.reduce": (bott, "reduce"),
+            "bott.is_kahler": (bott, "is_kahler"),
+            "F2RowSpace.reduce": (F2RowSpace, "reduce"),
+        }
+        for label, (owner, name) in targets.items():
+            counted[label] = log = []
+            real = getattr(owner, name)
+
+            def counting(*args, real=real, log=log):
+                log.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        return counted
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_verify_does_each_step_once(self, capsys, calls, json_flag, kahler12_spec):
+        for spec in (PAPER_SPEC, kahler12_spec, "00;00"):
+            for log in calls.values():
+                log.clear()
+            code, _, _ = run(capsys, "verify", "--matrix", spec, *json_flag)
+            assert code == 0
+            assert {name: len(log) for name, log in calls.items()} == {
+                "sw_data": 1,
+                "bott.reduce": 1,
+                "bott.is_kahler": 0,
+                "F2RowSpace.reduce": 0,
+            }
+
+    def test_verify_refuses_non_kahler_before_sw_data(self, capsys, calls):
+        code, out, err = run(capsys, "verify", "--matrix", "011;001;000")
+        assert (code, out) == (2, "")
+        assert err == "error: matrix is not Kähler; verify needs a column pairing\n"
+        assert calls["sw_data"] == []
 
 
 def test_parser_built_once_per_process(capsys):

@@ -327,17 +327,3 @@ class TestSpinOracle:
                 tuple(row[p] for p in perm) for row in E.entries
             ))
             assert admits_spin_oracle(E) == admits_spin_oracle(F)
-
-
-class TestTextFormat:
-    def test_contiguous(self):
-        assert PMatrix.from_text("12\n01\n") == KLEIN
-
-    def test_whitespace_separated(self):
-        assert PMatrix.from_text("1 2\n0 1\n") == KLEIN
-
-    def test_round_trip(self):
-        rng = random.Random(1)
-        for _ in range(20):
-            E = random_pmatrix(rng)
-            assert PMatrix.from_text(E.to_text()) == E
