@@ -43,6 +43,8 @@ class DimensionMismatch(ValueError):
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 # the ASCII digits "0" and "1" as bytes 0 and 1
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+# the entries 0 and 1 of a Bott matrix as the P-matrix entries 0 and 2
+_P_ENTRIES = bytes.maketrans(b"\x00\x01", b"\x00\x02")
 
 
 def _pack(bits: tuple) -> int:
@@ -163,14 +165,15 @@ class BottMatrix:
 
 def to_pmatrix(A: BottMatrix) -> PMatrix:
     """P-matrix of the Bott manifold: 1 on the diagonal, 2 where a_ij = 1."""
-    n = A.n
-    entries = tuple(
-        tuple(
-            1 if i == j else (2 if A.rows[i][j] else 0) for j in range(n)
-        )
-        for i in range(n)
-    )
-    return PMatrix(entries)
+    entries = []
+    for i, row in enumerate(A.rows):
+        try:
+            prow = bytearray(row).translate(_P_ENTRIES)
+        except TypeError:  # entries such as 1.0 that bytearray() does not take
+            prow = bytearray(2 if v else 0 for v in row)
+        prow[i] = 1  # the diagonal, 0 in a strictly upper triangular A
+        entries.append(tuple(prow))
+    return PMatrix(tuple(entries))
 
 
 def is_kahler(A: BottMatrix) -> bool:

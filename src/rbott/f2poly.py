@@ -69,11 +69,6 @@ class Monomial(tuple):
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(sorted(self + other))
 
-    def _sort_key(self):
-        # Graded lex, x1 most significant: within one degree this is
-        # ascending tuple order (see the module docstring).
-        return (len(self), self)
-
     def __str__(self) -> str:
         # Degrees 1 and 2 skip exps: they are all the per-matrix path prints.
         if len(self) == 1:
@@ -176,7 +171,9 @@ class F2Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        ordered = sorted(self.terms, key=Monomial._sort_key)
+        # Graded lex, x1 most significant: ascending tuple order within
+        # each degree (see the module docstring), kept by the stable sort.
+        ordered = sorted(sorted(self.terms), key=len)
         return " + ".join(str(m) for m in ordered)
 
 

@@ -7,11 +7,19 @@ generators applies to each of the n torus coordinates.  The module
 decides freeness and full holonomy of the action, computes the classes
 alpha_j, beta_j, theta_j and the degree <= 2 Stiefel-Whitney data, and
 exposes the cohomological spin test via degree-2 ideal membership.
+
+sw_data is the generic referee that the closed-form spin criterion and
+the census kernel are tested against.  It carries the linear classes as
+bitmasks of the d variables while it expands w2 (see its docstring) and
+hands back F2Polynomials; it imports nothing from rbott.bott or the
+census kernel.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
 from .f2poly import (
@@ -29,6 +37,9 @@ class ColumnOutOfRange(IndexError):
 
 class InvalidPEntry(ValueError):
     pass
+
+
+_P_VALUES = frozenset((0, 1, 2, 3))
 
 
 def pentry_add(a: int, b: int) -> int:
@@ -61,6 +72,12 @@ class PMatrix:
         for row in self.entries:
             if len(row) != n:
                 raise ValueError("ragged P-matrix")
+            # whole-row test first; the entry loop names the first bad entry
+            try:
+                if _P_VALUES.issuperset(row):
+                    continue
+            except TypeError:  # an unhashable entry
+                pass
             for v in row:
                 if v not in (0, 1, 2, 3):
                     raise InvalidPEntry(f"entry {v}")
@@ -134,17 +151,51 @@ def class_theta_j(E: PMatrix, j: int) -> F2Polynomial:
     return class_alpha_j(E, j) * class_beta_j(E, j)
 
 
-def _linear_classes(E: PMatrix):
-    """(alphas, betas): alpha_j and beta_j of every column j, in order.
+# entries 0..3 as the ASCII digit of alpha_form and of beta_form
+_ALPHA_DIGITS = bytes.maketrans(b"\x00\x01\x02\x03", b"0110")
+_BETA_DIGITS = bytes.maketrans(b"\x00\x01\x02\x03", b"0101")
+# the ASCII digits "0" and "1" as bytes 0 and 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
-    Reads each column once and builds each x_i once.
+
+def _column_masks(E: PMatrix) -> list[tuple[int, int]]:
+    """(alpha mask, beta mask) of every column: bit i - 1 is the form at row i.
+
+    Entries must be ints (or bools); bytes() refuses the others.
     """
-    xs = [Monomial((i,)) for i in range(1, E.d + 1)]
-    alphas, betas = [], []
+    masks = []
     for col in zip(*E.entries):
-        alphas.append(F2Polynomial(frozenset(x for x, v in zip(xs, col) if alpha_form(v))))
-        betas.append(F2Polynomial(frozenset(x for x, v in zip(xs, col) if beta_form(v))))
-    return tuple(alphas), tuple(betas)
+        raw = bytes(col[::-1])  # row d first, as int(..., 2) reads it
+        masks.append(
+            (int(raw.translate(_ALPHA_DIGITS), 2), int(raw.translate(_BETA_DIGITS), 2))
+        )
+    return masks
+
+
+def _ones(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)  # bit k at index k
+    return compress(range(len(bits)), bits)
+
+
+@functools.cache
+def _variables(d: int) -> tuple[Monomial, ...]:
+    """x_1, ..., x_d; entry a is x_{a + 1}."""
+    return tuple(Monomial((i,)) for i in range(1, d + 1))
+
+
+@functools.cache
+def _pairs(d: int) -> tuple[tuple[Monomial, ...], ...]:
+    """Entry [a][k] is x_{a + 1} * x_{a + 1 + k}, for 0 <= a <= a + k < d."""
+    return tuple(
+        tuple(Monomial((a, b)) for b in range(a, d + 1)) for a in range(1, d + 1)
+    )
+
+
+def _linear_poly(mask: int, d: int) -> F2Polynomial:
+    """Sum of the x_{k + 1} over the set bits k of mask."""
+    xs = _variables(d)
+    return F2Polynomial(frozenset(xs[k] for k in _ones(mask)))
 
 
 @dataclass(frozen=True)
@@ -166,23 +217,52 @@ class SWData:
 def sw_data(E: PMatrix) -> SWData:
     """alpha_j, beta_j, w1 and w2 of the quotient, and the ideal generators theta_j.
 
-    Computes every alpha_j and beta_j once.  w2 comes from the
-    elementary symmetric sums e1, e2 of c_j = alpha_j + beta_j rather
-    than from expanding the full n-fold product.
+    The total class is w = prod_j (1 + c_j) with c_j = alpha_j + beta_j
+    (Kamishima and Masuda, "Cohomological rigidity of real Bott
+    manifolds", 2009), so w1 = sum_j c_j and
+    w2 = sum_j (c_1 + ... + c_{j-1}) c_j.
+
+    Each linear class is a d-bit mask, bit a the coefficient of x_{a+1},
+    read from the P-matrix once per column; c_j = alpha_j xor beta_j
+    marks the rows whose entry is 2 or 3.  w2 is expanded term by term
+    into a d x d matrix S over F2, held as row masks: multiplying the
+    prefix by c_j adds c_j to row a of S for every bit a of the prefix.
+    T, the transpose of S, is kept alongside, getting the prefix in row
+    b for every bit b of c_j.  Since x_a x_b = x_b x_a, the coefficient
+    of x_{a+1} x_{b+1} (a < b) is S[a][b] + S[b][a], which is bit b of
+    S[a] xor T[a]; that of x_{a+1}^2 is bit a of S[a].
+
+    This is the product itself, term by term, on any d x n P-matrix:
+    masks only replace sets of monomials.  It uses no row weights and
+    not the closed form of bott.spin_closed_form, which is tested
+    against this referee.  The theta_j stay products alpha_j * beta_j
+    of polynomials.
     """
-    alphas, betas = _linear_classes(E)
-    # w2 = sum_j e1(c_1..c_{j-1}) c_j, summed in place
-    w2: set[Monomial] = set()
-    prefix = F2Polynomial.zero()
-    for a, b in zip(alphas, betas):
-        c = a + b
-        w2.symmetric_difference_update((prefix * c).terms)
-        prefix = prefix + c
+    d = E.d
+    masks = _column_masks(E)
+    S = [0] * d
+    T = [0] * d
+    prefix = 0
+    for alpha, beta in masks:
+        c = alpha ^ beta
+        for a in _ones(prefix):
+            S[a] ^= c
+        for b in _ones(c):
+            T[b] ^= prefix
+        prefix ^= c
+    pairs = _pairs(d)
+    w2 = []
+    for a, (row, col) in enumerate(zip(S, T)):
+        # bit k is the coefficient of x_{a+1} x_{a+1+k}: the square at k = 0
+        upper = ((row ^ col) >> a & ~1) | (row >> a & 1)
+        w2 += [pairs[a][k] for k in _ones(upper)]
+    alphas = tuple(_linear_poly(alpha, d) for alpha, _ in masks)
+    betas = tuple(_linear_poly(beta, d) for _, beta in masks)
     return SWData(
-        d=E.d,
+        d=d,
         alphas=alphas,
         betas=betas,
-        w1=prefix,
+        w1=_linear_poly(prefix, d),
         w2=F2Polynomial(frozenset(w2)),
         thetas=tuple(a * b for a, b in zip(alphas, betas)),
     )
@@ -221,11 +301,10 @@ def characteristic_ideal_deg2(E: PMatrix) -> F2RowSpace:
 
 def is_orientable(E: PMatrix) -> bool:
     """True iff w1 = sum_j (alpha_j + beta_j) vanishes; builds nothing of degree 2."""
-    alphas, betas = _linear_classes(E)
-    w1 = F2Polynomial.zero()
-    for a, b in zip(alphas, betas):
-        w1 += a + b
-    return w1.is_zero()
+    w1 = 0
+    for alpha, beta in _column_masks(E):
+        w1 ^= alpha ^ beta
+    return w1 == 0
 
 
 def admits_spin_oracle(E: PMatrix) -> bool:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import samplers
 from rbott import pmatrix
 from rbott.bott import BottMatrix, to_pmatrix
 from rbott.f2poly import F2Polynomial, deg2_to_vector
@@ -29,6 +30,7 @@ from rbott.pmatrix import (
     total_sw_class,
     w2_in_ideal,
 )
+from test_spin_closed_form import from_masks
 
 X1 = F2Polynomial.var(1)
 X2 = F2Polynomial.var(2)
@@ -39,6 +41,10 @@ KLEIN = PMatrix(((1, 2), (0, 1)))
 def random_pmatrix(rng, max_d=6, max_n=6):
     d = rng.randrange(1, max_d + 1)
     n = rng.randrange(1, max_n + 1)
+    return random_pmatrix_of(rng, d, n)
+
+
+def random_pmatrix_of(rng, d, n):
     return PMatrix(
         tuple(tuple(rng.randrange(4) for _ in range(n)) for _ in range(d))
     )
@@ -214,6 +220,39 @@ class TestSWData:
             total = total_sw_class(E, 2)
             assert data.w1 == total.homogeneous_part(1)
             assert data.w2 == total.homogeneous_part(2)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(48, 48), (48, 1), (1, 48), (48, 17), (13, 48), "random"],
+        ids=["48x48", "48x1", "1x48", "48x17", "13x48", "random"],
+    )
+    def test_mask_expansion_matches_full_product_generic(self, shape):
+        # sw_data's bitmask expansion against the truncated product of the
+        # (1 + alpha_j + beta_j), on generic P-matrices with entries 0..3
+        rng = random.Random(f"mask-expansion-{shape}")
+        if shape == "random":
+            shapes = [(rng.randrange(1, 49), rng.randrange(1, 49)) for _ in range(20)]
+        else:
+            shapes = [shape]
+        for d, n in shapes:
+            E = random_pmatrix_of(rng, d, n)
+            data = sw_data(E)
+            total = total_sw_class(E, 2)
+            assert data.w1 == total.homogeneous_part(1)
+            assert data.w2 == total.homogeneous_part(2)
+            assert data.alphas == tuple(class_alpha_j(E, j) for j in range(1, n + 1))
+            assert data.betas == tuple(class_beta_j(E, j) for j in range(1, n + 1))
+
+    @pytest.mark.parametrize("kind", sorted(samplers.SAMPLERS))
+    def test_mask_expansion_matches_full_product_bott(self, kind):
+        rng = random.Random(f"mask-expansion-{kind}")
+        for _ in range(2):
+            E = to_pmatrix(from_masks(samplers.SAMPLERS[kind](48, rng)))
+            data = sw_data(E)
+            total = total_sw_class(E, 2)
+            assert data.w1 == total.homogeneous_part(1)
+            assert data.w2 == total.homogeneous_part(2)
+            assert not data.w2.is_zero()
 
 
     def test_carries_per_column_classes(self):
