@@ -8,11 +8,11 @@ cohomological criterion in closed form, runs the generic cohomological
 spin test (the referee) as an independent second route, and produces the
 crystallographic generators of the fundamental group.
 
-The Kähler test, the reduction, both spin criteria and the corollary
-work on a matrix's row and column bitmasks: bit j of row_masks[i] and
-bit i of column_masks[j] are both the entry a_ij (0-based), as in the
-census kernel.  to_pmatrix, generators and the text format read the
-entries themselves.
+A BottMatrix is stored as n and its row bitmasks: bit j of row_masks[i]
+is the entry a_ij (0-based), as in the census kernel.  The Kähler test,
+the reduction, both spin criteria and the corollary work on those masks
+and on their transpose column_masks; every entry-level view (rows,
+columns, the text format, the P-matrix, the generators) reads them.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .pmatrix import PMatrix, admits_spin_oracle
 
@@ -39,76 +40,92 @@ class DimensionMismatch(ValueError):
     pass
 
 
-# bytes 0 and 1 as the ASCII digits "0" and "1"
-_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
-# the ASCII digits "0" and "1" as bytes 0 and 1
+# the ASCII digits "0" and "1" as the entries 0 and 1, and as the P-matrix entries 0 and 2
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-# the entries 0 and 1 of a Bott matrix as the P-matrix entries 0 and 2
-_P_ENTRIES = bytes.maketrans(b"\x00\x01", b"\x00\x02")
+_P_ENTRIES = bytes.maketrans(b"01", b"\x00\x02")
 
 
-def _pack(bits: tuple) -> int:
-    """The integer whose bit k is bits[k], for entries that are 0 or 1."""
-    try:
-        return int(bytes(bits[::-1]).translate(_ASCII_BITS), 2)
-    except TypeError:  # entries such as 1.0 that bytes() does not take
-        return sum(1 << k for k, v in enumerate(bits) if v)
+def _digits(mask: int, n: int) -> str:
+    """The n digits of mask, bit k at position k."""
+    return f"{mask:0{n}b}"[::-1]
 
 
-@dataclass(frozen=True)
+def _entries(mask: int, n: int) -> tuple[int, ...]:
+    """The n bits of mask as 0/1 entries, bit k at position k."""
+    return tuple(_digits(mask, n).encode().translate(_BIT_VALUES))
+
+
+def _store(A: BottMatrix, n: int, masks: list[int], lengths) -> BottMatrix:
+    """Set the (frozen) fields of A to n and masks, after naming the first bad row or entry.
+
+    lengths holds the number of entries each row was given with.
+    """
+    if n < 1:
+        raise ValueError("matrix must have at least one row")
+    if len(masks) != n:
+        raise ValueError(f"{len(masks)} row masks, expected {n}")
+    for i, (mask, length) in enumerate(zip(masks, lengths)):
+        if length != n:
+            raise ValueError(f"row {i + 1} has length {length}, expected {n}")
+        if low := mask & ((2 << i) - 1):
+            raise NotStrictlyUpperTriangular(i + 1, (low & -low).bit_length())
+        if mask >> n:
+            raise ValueError(f"row {i + 1} has a bit at or above column {n + 1}")
+    A.__dict__.update(n=n, row_masks=tuple(masks))
+    return A
+
+
+@dataclass(frozen=True, init=False)
 class BottMatrix:
-    """Strictly upper triangular square matrix over F2."""
+    """Strictly upper triangular square matrix over F2: bit j of row_masks[i] is a_ij."""
 
-    rows: tuple[tuple[int, ...], ...]
+    n: int
+    row_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.rows)
-        if n == 0:
-            raise ValueError("matrix must have at least one row")
-        for i, row in enumerate(self.rows):
+    def __init__(self, rows):
+        n = len(rows)
+        masks = [0] * n
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {i + 1} has length {len(row)}, expected {n}")
-            # whole-row test first; the entry loop names the first bad entry
-            entries = tuple(row)
-            if entries.count(0) + entries.count(1) == n and 1 not in entries[: i + 1]:
-                continue
             for j, v in enumerate(row):
                 if v not in (0, 1):
                     raise ValueError(f"entry ({i + 1},{j + 1}) is {v}, not 0/1")
                 if v and i >= j:
                     raise NotStrictlyUpperTriangular(i + 1, j + 1)
+                masks[i] |= bool(v) << j
+        _store(self, n, masks, [n] * n)
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    @staticmethod
+    def from_row_masks(n: int, masks: Iterable[int]) -> "BottMatrix":
+        """The n x n matrix with a_ij = bit j of masks[i] (0-based); like BottMatrix(rows),
+        it names the first bit on or below the diagonal, or at or above column n."""
+        return _store(object.__new__(BottMatrix), n, list(masks), [n] * n)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_entries(m, self.n) for m in self.row_masks)
 
     def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        # Built on first use; not a field, so it stays out of __eq__/__hash__.
-        return tuple(zip(*self.rows))
-
-    @cached_property
-    def row_masks(self) -> tuple[int, ...]:
-        """Bit j of row_masks[i] is a_ij (0-based)."""
-        return tuple(map(_pack, self.rows))
+        return self.row_masks[i - 1] >> (j - 1) & 1
 
     @cached_property
     def column_masks(self) -> tuple[int, ...]:
         """Bit i of column_masks[j] is a_ij (0-based): the transpose of row_masks."""
-        return tuple(map(_pack, self._columns))
+        # last row first, high bit first: each stride-n slice is a column
+        n = self.n
+        digits = "".join([f"{m:0{n}b}" for m in reversed(self.row_masks)])
+        return tuple(int(digits[p::n], 2) for p in range(n - 1, -1, -1))
 
     def column(self, j: int) -> tuple[int, ...]:
-        return self._columns[j - 1]
+        return _entries(self.column_masks[j - 1], self.n)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return list(self._columns)
+        return [_entries(m, self.n) for m in self.column_masks]
 
     @staticmethod
     def zero(n: int) -> "BottMatrix":
-        return BottMatrix(tuple((0,) * n for _ in range(n)))
+        return BottMatrix.from_row_masks(n, (0,) * n)
 
     @staticmethod
     def from_text(text: str) -> "BottMatrix":
@@ -121,14 +138,15 @@ class BottMatrix:
         if not lines:
             raise ValueError("empty matrix text")
 
-        def parse_rows(body):
-            rows = []
-            for ln in body:
-                digits = ln.replace(" ", "").replace("\t", "")
+        def parse_rows(body, expected):
+            rows = [ln.replace(" ", "").replace("\t", "") for ln in body]
+            for ln, digits in zip(body, rows):
                 if set(digits) - {"0", "1"}:
                     raise ValueError(f"bad matrix row: {ln!r}")
-                rows.append(tuple(digits.encode().translate(_BIT_VALUES)))
-            return tuple(rows)
+            if len(rows) != expected:
+                raise ValueError(f"header says {expected} rows, found {len(rows)}")
+            masks = [int(d[::-1], 2) for d in rows]
+            return _store(object.__new__(BottMatrix), expected, masks, map(len, rows))
 
         first = lines[0].replace(" ", "").replace("\t", "")
         if set(first) - {"0", "1"}:
@@ -137,19 +155,16 @@ class BottMatrix:
                 expected = int(first)
             except ValueError:
                 raise ValueError(f"bad header line: {lines[0]!r}")
-            rows = parse_rows(lines[1:])
-            if len(rows) != expected:
-                raise ValueError(f"header says {expected} rows, found {len(rows)}")
-            return BottMatrix(rows)
+            return parse_rows(lines[1:], expected)
         try:
-            return BottMatrix(parse_rows(lines))
+            return parse_rows(lines, len(lines))
         except NotStrictlyUpperTriangular:
             raise
         except ValueError:
             # Headers of all-binary digits ("1", "10", ...) are ambiguous;
             # fall back to the header reading if it is consistent.
             if first.isdigit() and int(first) == len(lines) - 1:
-                return BottMatrix(parse_rows(lines[1:]))
+                return parse_rows(lines[1:], len(lines) - 1)
             raise
 
     @staticmethod
@@ -158,22 +173,16 @@ class BottMatrix:
         return BottMatrix.from_text(spec.replace(";", "\n"))
 
     def to_text(self, header: bool = False) -> str:
-        # entries such as True or 1.0 pass validation; from_text reads only digits
-        body = "\n".join("".join("1" if v else "0" for v in row) for row in self.rows)
+        body = "\n".join(_digits(m, self.n) for m in self.row_masks)
         return f"{self.n}\n{body}" if header else body
 
 
 def to_pmatrix(A: BottMatrix) -> PMatrix:
     """P-matrix of the Bott manifold: 1 on the diagonal, 2 where a_ij = 1."""
-    entries = []
-    for i, row in enumerate(A.rows):
-        try:
-            prow = bytearray(row).translate(_P_ENTRIES)
-        except TypeError:  # entries such as 1.0 that bytearray() does not take
-            prow = bytearray(2 if v else 0 for v in row)
-        prow[i] = 1  # the diagonal, 0 in a strictly upper triangular A
-        entries.append(tuple(prow))
-    return PMatrix(tuple(entries))
+    n = A.n
+    flat = bytearray("".join(_digits(m, n) for m in A.row_masks).encode().translate(_P_ENTRIES))
+    flat[:: n + 1] = b"\x01" * n  # the diagonal, 0 in a strictly upper triangular A
+    return PMatrix(tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n)))
 
 
 def is_kahler(A: BottMatrix) -> bool:
@@ -215,8 +224,8 @@ def reduce(A: BottMatrix) -> ReducedMatrix:
             left[col] -= 1
             kept.append(j)
             sums ^= col
-    cols = tuple(A.column(j) for j in kept)
-    return ReducedMatrix(tuple(kept), cols, tuple(sums >> i & 1 for i in range(A.n)))
+    cols = tuple(_entries(A.column_masks[j - 1], A.n) for j in kept)
+    return ReducedMatrix(tuple(kept), cols, _entries(sums, A.n))
 
 
 def spin_main_theorem(A: BottMatrix) -> bool:
@@ -327,9 +336,9 @@ def generators(A: BottMatrix) -> list[AffineIsometry]:
     """
     n = A.n
     gens = []
-    for i, row in enumerate(A.rows):
-        # strictly upper triangular: row[k] is 0 for k <= i
-        signs = tuple(-1 if v else 1 for v in row)
+    for i, row in enumerate(A.row_masks):
+        # strictly upper triangular: bit k of row is 0 for k <= i
+        signs = tuple(-1 if row >> k & 1 else 1 for k in range(n))
         trans = tuple(1 if k == i else 0 for k in range(n))
         gens.append(AffineIsometry(signs, trans))
     return gens

@@ -6,8 +6,8 @@ least significant bit).  Censuses sweep only the orientable matrices, in
 the same order, through the kernel's orientable counter, and shard that
 index space into disjoint ranges, so worker counts never change the
 resulting counts.  The kernel hands back each matrix where theorem and
-oracle disagree as its row bitmasks; the report gives it in the matrix
-file format of BottMatrix.to_text.
+oracle disagree as its row bitmasks, the storage of BottMatrix; the
+report gives it in the matrix file format of BottMatrix.to_text.
 """
 
 from __future__ import annotations
@@ -45,27 +45,20 @@ def free_bit_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def _offset(n: int, i: int) -> int:
+    """Counter position of entry (i, i+1), 0-based: row i holds n-1-i bits."""
+    return i * (2 * n - 1 - i) // 2
+
+
 def matrix_from_index(n: int, idx: int) -> BottMatrix:
     """Decode a counter value into a strictly upper triangular matrix."""
-    rows = [[0] * n for _ in range(n)]
-    p = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            rows[i][j] = (idx >> p) & 1
-            p += 1
-    return BottMatrix(tuple(tuple(r) for r in rows))
+    masks = [((idx >> _offset(n, i)) & ((1 << (n - 1 - i)) - 1)) << (i + 1) for i in range(n)]
+    return BottMatrix.from_row_masks(n, masks)
 
 
 def index_of(A: BottMatrix) -> int:
     """Counter value of a matrix; inverse of matrix_from_index."""
-    idx = 0
-    p = 0
-    n = A.n
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            idx |= A.rows[i][j] << p
-            p += 1
-    return idx
+    return sum((m >> (i + 1)) << _offset(A.n, i) for i, m in enumerate(A.row_masks))
 
 
 def enumerate_bott(
@@ -194,10 +187,7 @@ def run_census(
             int(counts[_kernels.IDX_SPIN_ORACLE_ALL]) if oracle else None
         ),
         orientable_count=int(counts[_kernels.IDX_ORIENTABLE]),
-        mismatches=[
-            BottMatrix(tuple(tuple(r >> j & 1 for j in range(n)) for r in rows)).to_text()
-            for rows in mismatch_rows
-        ],
+        mismatches=[BottMatrix.from_row_masks(n, rows).to_text() for rows in mismatch_rows],
         mismatch_count=int(counts[_kernels.IDX_MISMATCH]),
         mismatch_truncated=int(counts[_kernels.IDX_MISMATCH]) > MISMATCH_CAP,
         oracle=oracle,

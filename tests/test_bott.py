@@ -65,7 +65,7 @@ def test_columns_read_the_rows():
         expected = [tuple(row[j] for row in A.rows) for j in range(n)]
         assert A.columns() == expected
         assert [A.column(j) for j in range(1, n + 1)] == expected
-        # the built columns are not a field: equality and hash see rows only
+        # the columns are derived, not fields: equality and hash see the row masks
         B = BottMatrix(A.rows)
         assert A == B and hash(A) == hash(B)
 
@@ -99,8 +99,10 @@ class TestTextFormat:
         [((0, 1.0, True), (0, 0, 0), (0, 0, 0)), ((0, True), (False, 0.0))],
     )
     def test_round_trip_of_bool_and_float_entries(self, rows):
-        # validation accepts entries equal to 0 or 1; the text has digits only
+        # validation accepts entries equal to 0 or 1, and stores them as bits
         A = BottMatrix(rows)
+        assert A.rows == tuple(tuple(1 if v else 0 for v in row) for row in rows)
+        assert {type(v) for row in A.rows for v in row} == {int}
         assert set(A.to_text()) <= set("01\n")
         assert BottMatrix.from_text(A.to_text()) == A
         assert BottMatrix.from_text(A.to_text(header=True)) == A

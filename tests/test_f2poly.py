@@ -5,6 +5,8 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, strategies as st
 
+import samplers
+from rbott.bott import BottMatrix, to_pmatrix
 from rbott.f2poly import (
     Deg2Vector,
     F2Polynomial,
@@ -19,6 +21,7 @@ from rbott.f2poly import (
     pair_index,
     row_space_membership,
 )
+from rbott.pmatrix import ideal_deg2, sw_data
 
 X1 = F2Polynomial.var(1)
 X2 = F2Polynomial.var(2)
@@ -246,6 +249,63 @@ class TestRowSpace:
             for _ in range(10):
                 probe = rng.getrandbits(length)
                 assert space.contains(Deg2Vector(probe, d)) == (probe in spanned)
+
+
+def check_reduction_trace(space: F2RowSpace, v: Deg2Vector) -> list:
+    """The trace's three promises for one vector; returns the trace."""
+    trace = space.reduction_trace(v)
+    pivots = [b & -b for b in space.basis]
+    # empty exactly when no basis pivot is set in v, and then v is reduced
+    assert (not trace) == (not any(v.bits & p for p in pivots))
+    if not trace:
+        assert space.reduce(v) == v
+    else:
+        assert trace[-1][1] == space.reduce(v)
+    # each step subtracts a basis row, in basis order, from the previous remainder
+    order = [space.basis.index(b.bits) for b, _ in trace]
+    assert order == sorted(set(order))
+    remainder = v
+    for subtracted, after in trace:
+        assert subtracted.d == after.d == space.d
+        assert after == remainder ^ subtracted
+        remainder = after
+    return trace
+
+
+class TestReductionTrace:
+    """F2RowSpace.reduction_trace, which rbott verify prints step by step."""
+
+    def test_seeded_spaces(self):
+        rng = random.Random("reduction-trace")
+        empty = nonempty = 0
+        for _ in range(300):
+            d = rng.randrange(1, 9)
+            length = deg2_length(d)
+            gens = [Deg2Vector(rng.getrandbits(length), d) for _ in range(rng.randrange(8))]
+            space = F2RowSpace(gens, d)
+            probes = [Deg2Vector(0, d), *gens]
+            if len(gens) > 1:
+                a, b = rng.sample(gens, 2)
+                probes.append(a ^ b)
+            probes += [Deg2Vector(rng.getrandbits(length), d) for _ in range(4)]
+            for v in probes:
+                trace = check_reduction_trace(space, v)
+                empty += not trace
+                nonempty += bool(trace)
+        assert empty > 100 and nonempty > 100
+
+    def test_theta_spans_of_sampled_matrices(self):
+        rng = random.Random("reduction-trace-thetas")
+        for kind in sorted(samplers.SAMPLERS):
+            for n in (2, 3, 4, 6, 8, 12):
+                A = BottMatrix.from_row_masks(n, samplers.SAMPLERS[kind](n, rng))
+                data = sw_data(to_pmatrix(A))
+                space = ideal_deg2(data)
+                d = data.d
+                probes = [deg2_to_vector(p, d) for p in (data.w2, *data.thetas)]
+                probes += [Deg2Vector(rng.getrandbits(deg2_length(d)), d) for _ in range(3)]
+                for v in probes:
+                    check_reduction_trace(space, v)
 
 
 class TestRendering:

@@ -30,7 +30,6 @@ from rbott.pmatrix import (
     total_sw_class,
     w2_in_ideal,
 )
-from test_spin_closed_form import from_masks
 
 X1 = F2Polynomial.var(1)
 X2 = F2Polynomial.var(2)
@@ -144,11 +143,8 @@ class TestActionPredicates:
     def test_early_exit_at_n48(self):
         # 2^48 - 1 row subsets: these return only by stopping at a single row
         rng = random.Random(48)
-        rows = [[0] * 48 for _ in range(48)]
-        for i in range(47):
-            for j in range(i + 1, 48):
-                rows[i][j] = rng.randrange(2)
-        E = to_pmatrix(BottMatrix(tuple(map(tuple, rows))))
+        masks = [sum(rng.randrange(2) << j for j in range(i + 1, 48)) for i in range(48)]
+        E = to_pmatrix(BottMatrix.from_row_masks(48, masks))
         # the last row is (0, ..., 0, 1): no 2 or 3
         assert E.entries[-1] == (0,) * 47 + (1,)
         assert not has_full_holonomy(E)
@@ -247,7 +243,7 @@ class TestSWData:
     def test_mask_expansion_matches_full_product_bott(self, kind):
         rng = random.Random(f"mask-expansion-{kind}")
         for _ in range(2):
-            E = to_pmatrix(from_masks(samplers.SAMPLERS[kind](48, rng)))
+            E = to_pmatrix(BottMatrix.from_row_masks(48, samplers.SAMPLERS[kind](48, rng)))
             data = sw_data(E)
             total = total_sw_class(E, 2)
             assert data.w1 == total.homogeneous_part(1)

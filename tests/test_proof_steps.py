@@ -26,7 +26,7 @@ from rbott.bott import (
     spin_main_theorem,
     spin_oracle,
 )
-from test_spin_closed_form import SAMPLE_SIZES, from_masks
+from test_spin_closed_form import SAMPLE_SIZES
 
 REFEREE_MAX_N = 12
 
@@ -36,7 +36,7 @@ def test_lemma_b_on_kahler_samples():
     for _ in range(200):
         n = rng.choice([n for n in SAMPLE_SIZES if n % 2 == 0])
         rows = samplers.kahler_rows(n, rng)
-        A = from_masks(rows)
+        A = BottMatrix.from_row_masks(n, rows)
         assert is_kahler(A)
         for j in range(n):
             assert all((rows[i] & rows[j]).bit_count() % 2 == 0 for i in range(j)), rows
@@ -88,9 +88,10 @@ def test_relabelling_leaves_every_verdict_unchanged():
     for kind, sampler in sorted(samplers.SAMPLERS.items()):
         sizes = [n for n in SAMPLE_SIZES if n % 2 == 0] if kind == "kahler" else SAMPLE_SIZES
         for _ in range(150):
-            rows = sampler(rng.choice(sizes), rng)
-            A = from_masks(rows)
-            B = from_masks(relabel(rows, random_topological_order(rows, rng)))
+            n = rng.choice(sizes)
+            rows = sampler(n, rng)
+            A = BottMatrix.from_row_masks(n, rows)
+            B = BottMatrix.from_row_masks(n, relabel(rows, random_topological_order(rows, rng)))
             assert verdicts(B) == verdicts(A), (kind, rows)
             drawn += 1
             relabelled += A != B

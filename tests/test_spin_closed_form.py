@@ -40,11 +40,6 @@ def referee(A: BottMatrix) -> bool:
     return is_spin(sw_data(to_pmatrix(A)))
 
 
-def from_masks(rows: list[int]) -> BottMatrix:
-    n = len(rows)
-    return BottMatrix(tuple(tuple(r >> j & 1 for j in range(n)) for r in rows))
-
-
 def orientable_matrices(n: int):
     """Every n x n Bott matrix whose rows all have even weight."""
     per_row = []
@@ -58,14 +53,18 @@ def orientable_matrices(n: int):
             row_choices.append(mask)
         per_row.append(row_choices)
     for rows in itertools.product(*per_row):
-        yield from_masks(list(rows))
+        yield BottMatrix.from_row_masks(n, rows)
 
 
 def samples(kind: str) -> list[BottMatrix]:
     sampler = samplers.SAMPLERS[kind]
     rng = random.Random(f"closed-form-{kind}")
     sizes = [n for n in SAMPLE_SIZES if n % 2 == 0] if kind == "kahler" else SAMPLE_SIZES
-    return [from_masks(sampler(n, rng)) for n in sizes for _ in range(SAMPLES_PER_SIZE)]
+    return [
+        BottMatrix.from_row_masks(n, sampler(n, rng))
+        for n in sizes
+        for _ in range(SAMPLES_PER_SIZE)
+    ]
 
 
 def test_samplers_import_no_referee():
@@ -154,9 +153,25 @@ def test_masks_are_the_entries():
         assert A.column_masks == tuple(
             sum(A.rows[i][j] << i for i in range(n)) for j in range(n)
         )
-        # the masks are not fields: equality and hash see the rows only
         B = BottMatrix(A.rows)
         assert A == B and hash(A) == hash(B)
+
+
+def test_row_masks_round_trip():
+    """from_row_masks rebuilds the matrix, and the views read the masks."""
+    small = (A for n in range(1, 6) for A in enumerate_bott(n))
+    for A in itertools.chain(small, all_samples()):
+        n, masks = A.n, A.row_masks
+        B = BottMatrix.from_row_masks(n, masks)
+        assert B == A and hash(B) == hash(A)
+        assert (B.n, B.row_masks) == (n, masks)
+        assert B.rows == tuple(tuple(m >> j & 1 for j in range(n)) for m in masks)
+        assert B.column_masks == tuple(
+            sum((m >> j & 1) << i for i, m in enumerate(masks)) for j in range(n)
+        )
+        assert B.to_text() == "\n".join(
+            "".join("1" if m >> j & 1 else "0" for j in range(n)) for m in masks
+        )
 
 
 def test_mask_routes_equal_brute_force():
@@ -197,10 +212,43 @@ def reference_validation(rows):
     return None
 
 
+def reference_mask_validation(n, masks):
+    """The per-entry check from_row_masks must agree with, lowest bit first."""
+    if len(masks) != n:
+        return ValueError, f"{len(masks)} row masks, expected {n}"
+    for i, mask in enumerate(masks):
+        for j in range(mask.bit_length()):
+            if mask >> j & 1 and j <= i:
+                return NotStrictlyUpperTriangular, str(NotStrictlyUpperTriangular(i + 1, j + 1))
+            if mask >> j & 1 and j >= n:
+                return ValueError, f"row {i + 1} has a bit at or above column {n + 1}"
+    return None
+
+
 def test_validation_names_the_first_bad_entry():
     rng = random.Random(5)
+    mask_rng = random.Random("masks")
     values = (0, 1, 2, -1, True, False, 1.0, "1", None)
     for _ in range(3000):
+        n = mask_rng.randrange(1, 6)
+        masks = [mask_rng.getrandbits(n) & -(2 << i) for i in range(n)]
+        for _ in range(mask_rng.randrange(3)):
+            i = mask_rng.randrange(n)
+            if mask_rng.random() < 0.5:
+                masks[i] |= 1 << mask_rng.randrange(i + 1)  # on or below the diagonal
+            else:
+                masks[i] |= 1 << (n + mask_rng.randrange(3))  # at or above column n
+        if mask_rng.random() < 0.1:
+            masks = masks[:-1] if mask_rng.random() < 0.5 else masks + [0]
+        expected = reference_mask_validation(n, masks)
+        if expected is None:
+            A = BottMatrix.from_row_masks(n, masks)
+            assert A.rows == tuple(tuple(m >> j & 1 for j in range(n)) for m in masks)
+        else:
+            with pytest.raises(ValueError) as err:
+                BottMatrix.from_row_masks(n, masks)
+            assert (type(err.value), str(err.value)) == expected
+
         n = rng.randrange(1, 6)
         rows = [[rng.randrange(2) if j > i else 0 for j in range(n)] for i in range(n)]
         for _ in range(rng.randrange(3)):
