@@ -4,7 +4,8 @@
 output mode, the exit code and the sha256 of stdout and stderr.  The
 corpus is the paper's 6x6 example, the Klein bottle, the 4x4 zero
 matrix, seeded random, orientable and Kähler matrices at n = 6..12,
-and one Kähler and one non-Kähler matrix at n = 48.
+one Kähler and one non-Kähler matrix at n = 48, and one Kähler and one
+orientable matrix at n = 128.
 
 Regenerate (only when an output change is intended) with
 
@@ -71,6 +72,9 @@ def build_matrices() -> dict[str, str]:
             matrices[f"kahler{n}"] = _spec(_kahler_rows(n, rng))
     matrices["random48"] = _spec(_random_rows(48, rng))
     matrices["kahler48"] = _spec(_kahler_rows(48, rng))
+    # drawn last, so the earlier matrices keep their draws
+    matrices["kahler128"] = _spec(_kahler_rows(128, rng))
+    matrices["orientable128"] = _spec(_orientable_rows(128, rng))
     return matrices
 
 
