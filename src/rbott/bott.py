@@ -182,7 +182,7 @@ def to_pmatrix(A: BottMatrix) -> PMatrix:
     n = A.n
     flat = bytearray("".join(_digits(m, n) for m in A.row_masks).encode().translate(_P_ENTRIES))
     flat[:: n + 1] = b"\x01" * n  # the diagonal, 0 in a strictly upper triangular A
-    return PMatrix(tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n)))
+    return PMatrix.from_valid(tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n)))
 
 
 def is_kahler(A: BottMatrix) -> bool:
@@ -201,11 +201,20 @@ def is_orientable(A: BottMatrix) -> bool:
 
 @dataclass(frozen=True)
 class ReducedMatrix:
-    """Half of the columns of a Kähler Bott matrix, one per pair, with row sums."""
+    """Half of the columns of a Kähler Bott matrix, one per pair, with row sums.
+
+    kept_masks[k] is the mask of column kept_columns[k], bit i its entry in row i + 1.
+    """
 
     kept_columns: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
+    kept_masks: tuple[int, ...]
     row_sums: tuple[int, ...]
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The kept columns as 0/1 entries."""
+        n = len(self.row_sums)
+        return tuple(_entries(m, n) for m in self.kept_masks)
 
 
 def reduce(A: BottMatrix) -> ReducedMatrix:
@@ -218,14 +227,15 @@ def reduce(A: BottMatrix) -> ReducedMatrix:
         raise NotKahler("columns do not pair up into equal pairs")
     left = {col: m // 2 for col, m in mult.items()}
     kept: list[int] = []
+    masks: list[int] = []
     sums = 0
     for j, col in enumerate(A.column_masks, start=1):
         if left[col]:
             left[col] -= 1
             kept.append(j)
+            masks.append(col)
             sums ^= col
-    cols = tuple(_entries(A.column_masks[j - 1], A.n) for j in kept)
-    return ReducedMatrix(tuple(kept), cols, _entries(sums, A.n))
+    return ReducedMatrix(tuple(kept), tuple(masks), _entries(sums, A.n))
 
 
 def spin_main_theorem(A: BottMatrix) -> bool:

@@ -27,6 +27,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
+# sw and verify run the generic referee, whose elimination grows about 7x
+# per doubling of n: at n = 512 each takes about a second (README, "Cost of
+# the generic route"), so larger matrices are refused before any work
+REFEREE_MAX_N = 512
+
 
 class InputError(Exception):
     pass
@@ -50,6 +55,17 @@ def _load_matrix(args) -> bott.BottMatrix:
         raise InputError(f"{source}: not strictly upper triangular at ({exc.i},{exc.j})")
     except ValueError as exc:
         raise InputError(f"{source}: {exc}")
+
+
+def _load_referee_matrix(args) -> bott.BottMatrix:
+    """The matrix of sw or verify, refused above REFEREE_MAX_N."""
+    A = _load_matrix(args)
+    if A.n > REFEREE_MAX_N:
+        raise InputError(
+            f"{args.command} runs the generic referee, bounded at n <= {REFEREE_MAX_N}; "
+            f"this matrix has n = {A.n} (check decides it in closed form)"
+        )
+    return A
 
 
 def _emit(args, document: dict, render) -> None:
@@ -107,7 +123,7 @@ def _render_check(doc: dict) -> list[str]:
 
 
 def cmd_sw(args) -> int:
-    A = _load_matrix(args)
+    A = _load_referee_matrix(args)
     data = pmx.sw_data(bott.to_pmatrix(A))
     document = {
         "command": "sw",
@@ -220,7 +236,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    A = _load_matrix(args)
+    A = _load_referee_matrix(args)
     try:
         reduced = bott.reduce(A)
     except bott.NotKahler:

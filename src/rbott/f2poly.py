@@ -22,8 +22,9 @@ graded lex.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import compress, groupby
 from typing import Iterable, Mapping
 
 
@@ -85,6 +86,10 @@ class Monomial(tuple):
 
 ONE_MONOMIAL = Monomial(())
 
+# the text of a monomial, memoised with a bound: polynomials of one
+# matrix print the same few monomials many times over
+_monomial_text = functools.lru_cache(maxsize=1 << 16)(Monomial.__str__)
+
 
 def _toggle(acc: set[Monomial], m: Monomial) -> None:
     """Add m to a sum over F2: a second copy cancels the first."""
@@ -135,12 +140,20 @@ class F2Polynomial:
 
     def __mul__(self, other: "F2Polynomial") -> "F2Polynomial":
         # For a fixed a the products a*b over distinct b are distinct, so
-        # each row folds into the sum with one symmetric difference.
+        # each row folds into the sum with one symmetric difference; the
+        # factor with fewer terms gives the rows.
+        rows, cols = sorted((self.terms, other.terms), key=len)
         acc: set[Monomial] = set()
-        for a in self.terms:
-            acc.symmetric_difference_update(
-                [Monomial(sorted(a + b)) for b in other.terms]
-            )
+        for a in rows:
+            if len(a) == 1:
+                # x_i * x_j is (i, j) or (j, i): no sort for linear terms
+                products = [
+                    Monomial((a + b if a <= b else b + a) if len(b) == 1 else sorted(a + b))
+                    for b in cols
+                ]
+            else:
+                products = [Monomial(sorted(a + b)) for b in cols]
+            acc.symmetric_difference_update(products)
         return F2Polynomial(frozenset(acc))
 
     def homogeneous_part(self, k: int) -> "F2Polynomial":
@@ -174,7 +187,7 @@ class F2Polynomial:
         # Graded lex, x1 most significant: ascending tuple order within
         # each degree (see the module docstring), kept by the stable sort.
         ordered = sorted(sorted(self.terms), key=len)
-        return " + ".join(str(m) for m in ordered)
+        return " + ".join(map(_monomial_text, ordered))
 
 
 def deg2_length(d: int) -> int:
@@ -190,6 +203,24 @@ def pair_index(i: int, j: int, d: int) -> int:
     if not (1 <= i <= j <= d):
         raise ValueError(f"bad pair ({i},{j}) for d={d}")
     return (i - 1) * d - (i - 1) * (i - 2) // 2 + (j - i)
+
+
+# the ASCII digits "0" and "1" as bytes 0 and 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_flags(bits: int) -> bytes:
+    """Byte k is bit k of bits (0 or 1), up to the highest set bit."""
+    return bin(bits)[:1:-1].encode().translate(_BIT_VALUES)
+
+
+@functools.lru_cache(maxsize=16)
+def _deg2_table(d: int) -> tuple[tuple[Monomial, ...], dict[Monomial, int]]:
+    """The d(d+1)/2 monomials x_i*x_j in pair_index order, and each one's position."""
+    monomials = tuple(
+        Monomial((i, j)) for i in range(1, d + 1) for j in range(i, d + 1)
+    )
+    return monomials, {m: pos for pos, m in enumerate(monomials)}
 
 
 def index_pair(pos: int, d: int) -> tuple[int, int]:
@@ -225,19 +256,22 @@ class Deg2Vector:
         return Deg2Vector(self.bits ^ other.bits, self.d)
 
     def to_poly(self) -> F2Polynomial:
-        monomials = []
-        pos = 0
-        bits = self.bits
-        while bits:
-            if bits & 1:
-                monomials.append(Monomial(index_pair(pos, self.d)))
-            bits >>= 1
-            pos += 1
-        return F2Polynomial.from_monomials(monomials)
+        if self.bits >> self.length:
+            raise ValueError(f"position out of range for d={self.d}")
+        monomials, _ = _deg2_table(self.d)
+        return F2Polynomial(frozenset(compress(monomials, bit_flags(self.bits))))
 
 
 def deg2_to_vector(p: F2Polynomial, d: int) -> Deg2Vector:
     """Coordinate vector of a homogeneous degree-2 polynomial (or zero)."""
+    _, positions = _deg2_table(d)
+    bits = 0
+    try:
+        for m in p.terms:
+            bits |= 1 << positions[m]
+        return Deg2Vector(bits, d)
+    except KeyError:
+        pass  # a term off the table: the loop below names it
     bits = 0
     for m in p.terms:
         if len(m) != 2:

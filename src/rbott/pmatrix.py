@@ -23,9 +23,11 @@ from itertools import compress
 from typing import Iterator
 
 from .f2poly import (
+    Deg2Vector,
     F2Polynomial,
     F2RowSpace,
     Monomial,
+    bit_flags,
     deg2_to_vector,
     row_space_membership,
 )
@@ -81,6 +83,15 @@ class PMatrix:
             for v in row:
                 if v not in (0, 1, 2, 3):
                     raise InvalidPEntry(f"entry {v}")
+
+    @staticmethod
+    def from_valid(entries: tuple[tuple[int, ...], ...]) -> "PMatrix":
+        """The P-matrix of entries already known to be valid: a nonempty
+        rectangle of ints 0..3, as tuples.  Checks nothing; PMatrix(entries)
+        checks outside input."""
+        E = object.__new__(PMatrix)
+        object.__setattr__(E, "entries", entries)
+        return E
 
     @property
     def d(self) -> int:
@@ -154,8 +165,6 @@ def class_theta_j(E: PMatrix, j: int) -> F2Polynomial:
 # entries 0..3 as the ASCII digit of alpha_form and of beta_form
 _ALPHA_DIGITS = bytes.maketrans(b"\x00\x01\x02\x03", b"0110")
 _BETA_DIGITS = bytes.maketrans(b"\x00\x01\x02\x03", b"0101")
-# the ASCII digits "0" and "1" as bytes 0 and 1
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _column_masks(E: PMatrix) -> list[tuple[int, int]]:
@@ -174,8 +183,8 @@ def _column_masks(E: PMatrix) -> list[tuple[int, int]]:
 
 def _ones(mask: int) -> Iterator[int]:
     """The positions of the set bits of mask, lowest first."""
-    bits = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)  # bit k at index k
-    return compress(range(len(bits)), bits)
+    flags = bit_flags(mask)
+    return compress(range(len(flags)), flags)
 
 
 @functools.cache
@@ -184,18 +193,9 @@ def _variables(d: int) -> tuple[Monomial, ...]:
     return tuple(Monomial((i,)) for i in range(1, d + 1))
 
 
-@functools.cache
-def _pairs(d: int) -> tuple[tuple[Monomial, ...], ...]:
-    """Entry [a][k] is x_{a + 1} * x_{a + 1 + k}, for 0 <= a <= a + k < d."""
-    return tuple(
-        tuple(Monomial((a, b)) for b in range(a, d + 1)) for a in range(1, d + 1)
-    )
-
-
 def _linear_poly(mask: int, d: int) -> F2Polynomial:
     """Sum of the x_{k + 1} over the set bits k of mask."""
-    xs = _variables(d)
-    return F2Polynomial(frozenset(xs[k] for k in _ones(mask)))
+    return F2Polynomial(frozenset(compress(_variables(d), bit_flags(mask))))
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,9 @@ def sw_data(E: PMatrix) -> SWData:
     T, the transpose of S, is kept alongside, getting the prefix in row
     b for every bit b of c_j.  Since x_a x_b = x_b x_a, the coefficient
     of x_{a+1} x_{b+1} (a < b) is S[a][b] + S[b][a], which is bit b of
-    S[a] xor T[a]; that of x_{a+1}^2 is bit a of S[a].
+    S[a] xor T[a]; that of x_{a+1}^2 is bit a of S[a].  Row a of these
+    coefficients, from x_{a+1}^2 on, is row a of the row-major Deg2Vector
+    layout, so w2 is read from one vector.
 
     This is the product itself, term by term, on any d x n P-matrix:
     masks only replace sets of monomials.  It uses no row weights and
@@ -250,12 +252,13 @@ def sw_data(E: PMatrix) -> SWData:
         for b in _ones(c):
             T[b] ^= prefix
         prefix ^= c
-    pairs = _pairs(d)
-    w2 = []
+    w2 = 0
+    offset = 0  # pair_index(a + 1, a + 1, d), where row a of the layout starts
     for a, (row, col) in enumerate(zip(S, T)):
         # bit k is the coefficient of x_{a+1} x_{a+1+k}: the square at k = 0
         upper = ((row ^ col) >> a & ~1) | (row >> a & 1)
-        w2 += [pairs[a][k] for k in _ones(upper)]
+        w2 |= upper << offset
+        offset += d - a
     alphas = tuple(_linear_poly(alpha, d) for alpha, _ in masks)
     betas = tuple(_linear_poly(beta, d) for _, beta in masks)
     return SWData(
@@ -263,7 +266,7 @@ def sw_data(E: PMatrix) -> SWData:
         alphas=alphas,
         betas=betas,
         w1=_linear_poly(prefix, d),
-        w2=F2Polynomial(frozenset(w2)),
+        w2=Deg2Vector(w2, d).to_poly(),
         thetas=tuple(a * b for a, b in zip(alphas, betas)),
     )
 

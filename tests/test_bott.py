@@ -126,6 +126,15 @@ class TestToPMatrix:
                     expected = 2 if paper_example.entry(i, j) else 0
                     assert E.entries[i - 1][j - 1] == expected
 
+    def test_entries_pass_the_checks(self):
+        # to_pmatrix skips PMatrix's checks; what it builds must pass them
+        rng = random.Random(23)
+        for n in (1, 2, 5, 12, 48):
+            E = to_pmatrix(random_bott(rng, n))
+            assert PMatrix(E.entries) == E
+            assert {type(v) for row in E.entries for v in row} <= {int}
+            assert all(type(row) is tuple for row in E.entries)
+
 
 class TestKahler:
     def test_paper(self, paper_example):
@@ -157,6 +166,7 @@ class TestReduce:
     def test_four_by_four(self):
         r = reduce(FOUR_BY_FOUR)
         assert r.kept_columns == (1, 3)
+        assert r.kept_masks == (FOUR_BY_FOUR.column_masks[0], FOUR_BY_FOUR.column_masks[2])
         assert r.columns[1] == (1, 1, 0, 0)
         assert r.row_sums == (1, 1, 0, 0)
 

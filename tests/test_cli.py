@@ -331,6 +331,36 @@ class TestOneSWComputation:
         assert len(sw_calls) == 1
 
 
+class TestRefereeBound:
+    """sw and verify refuse n > REFEREE_MAX_N before building anything."""
+
+    @pytest.fixture()
+    def pmatrix_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bott, "to_pmatrix", lambda A: calls.append(A))
+        return calls
+
+    @pytest.mark.parametrize("cmd", ["sw", "verify"])
+    def test_refused_above_bound(self, capsys, pmatrix_calls, cmd):
+        n = cli.REFEREE_MAX_N + 1
+        code, out, err = run(capsys, cmd, "--matrix", ";".join(["0" * n] * n))
+        assert code == 2 and out == ""
+        assert f"n <= {cli.REFEREE_MAX_N}" in err and f"n = {n}" in err
+        assert pmatrix_calls == []
+
+    @pytest.mark.parametrize("cmd", ["sw", "verify"])
+    def test_bound_is_inclusive(self, capsys, monkeypatch, cmd):
+        monkeypatch.setattr(cli, "REFEREE_MAX_N", 4)
+        assert run(capsys, cmd, "--matrix", "0011;0011;0000;0000")[0] == 0
+        code, _, err = run(capsys, cmd, "--matrix", "00000;00000;00000;00000;00000")
+        assert code == 2 and "n <= 4" in err
+
+    def test_check_is_not_bounded(self, capsys):
+        n = cli.REFEREE_MAX_N + 1
+        code, doc, _ = run_json(capsys, "check", "--matrix", ";".join(["0" * n] * n))
+        assert code == 0 and doc["dimension"] == n
+
+
 class TestCheckBuildsNoSWData:
     """check reads every verdict from bitmasks: no P-matrix, no SW data."""
 

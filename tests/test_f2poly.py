@@ -122,6 +122,40 @@ class TestProductProperties:
         assert (p * ZERO).is_zero()
 
 
+def _naive_product(p, q):
+    return F2Polynomial.from_monomials(
+        Monomial(sorted(a + b)) for a in p.terms for b in q.terms
+    )
+
+
+def mixed_polynomials(max_var=9):
+    # mixed degrees 0..3, and sizes from 0 to 12 terms
+    mono = st.lists(st.integers(1, max_var), max_size=3).map(lambda v: Monomial(sorted(v)))
+    return st.lists(mono, max_size=12).map(F2Polynomial.from_monomials)
+
+
+class TestProductAgainstNaive:
+    """__mul__ against the product of every pair of terms, sorted and summed."""
+
+    @given(mixed_polynomials(), mixed_polynomials())
+    @example(X1 + X2 + X3, X2)  # a linear factor of one term: theta_j = alpha_j * beta_j
+    @example(X2, ONE + X1 + X1 * X3 + X2 * X2 * X3)
+    def test_matches_naive(self, p, q):
+        assert p * q == _naive_product(p, q) == q * p
+
+    def test_sizes_unequal_both_ways(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            big, small = (
+                F2Polynomial.from_monomials(
+                    Monomial(sorted(rng.choices(range(1, 13), k=rng.randrange(4))))
+                    for _ in range(k)
+                )
+                for k in (rng.randrange(5, 40), rng.randrange(1, 4))
+            )
+            assert big * small == small * big == _naive_product(big, small)
+
+
 class TestGradedPieces:
     def test_homogeneous_part(self):
         p = ONE + X1 + X1 * X2
@@ -184,11 +218,35 @@ class TestDeg2Vector:
         with pytest.raises(VariableOutOfRange):
             deg2_to_vector(X2 * X3, 2)
 
-    @given(st.integers(1, 6), st.data())
+    @given(st.integers(1, 64), st.data())
+    @example(64, None)
     def test_round_trip(self, d, data):
-        bits = data.draw(st.integers(0, (1 << deg2_length(d)) - 1))
+        full = (1 << deg2_length(d)) - 1
+        bits = full if data is None else data.draw(st.integers(0, full))
         v = Deg2Vector(bits, d)
-        assert deg2_to_vector(v.to_poly(), d) == v
+        p = v.to_poly()
+        assert p.terms == {Monomial(index_pair(k, d)) for k in range(deg2_length(d)) if bits >> k & 1}
+        assert deg2_to_vector(p, d) == v
+
+    def test_to_poly_rejects_bits_past_the_layout(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Deg2Vector(1 << deg2_length(3), 3).to_poly()
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (X1, NotHomogeneousDegree2, "term x1 has degree 1"),
+            (ONE, NotHomogeneousDegree2, "term 1 has degree 0"),
+            (X1 * X2 * X3, NotHomogeneousDegree2, "term x1*x2*x3 has degree 3"),
+            (X3 * F2Polynomial.var(5), VariableOutOfRange, "x5 with d=4"),
+        ],
+    )
+    def test_one_bad_term_among_valid_ones(self, bad, error, message):
+        valid = X1 * X1 + X1 * X2 + X2 * X3 + X3 * X3 + F2Polynomial.var(4) * X2
+        for p in (bad, valid + bad):
+            with pytest.raises(error) as raised:
+                deg2_to_vector(p, 4)
+            assert str(raised.value) == message
 
 
 class TestRowSpace:
@@ -309,6 +367,11 @@ class TestReductionTrace:
 
 
 class TestRendering:
+    @given(mixed_polynomials(12))
+    def test_matches_reference_rendering(self, p):
+        expected = " + ".join(Monomial.__str__(m) for m in sorted(sorted(p.terms), key=len))
+        assert str(p) == (expected or "0")
+
     def test_zero(self):
         assert str(ZERO) == "0"
 
