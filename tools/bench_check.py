@@ -12,6 +12,7 @@ and verify, spin-biased ones for sw.  Each command runs in-process as
 rbott.cli.main([cmd, "--matrix", spec, "--json"]) with stdout discarded.
 A matrix's time is the best of --repeats runs; the entry holds, per
 command and n, the median over --matrices matrices, in milliseconds.
+The matrices are drawn with seed SEED.
 
 Every entry carries what is needed to reproduce it: the commit of the
 timed checkout (and whether its src/ differs from that commit), the
@@ -34,6 +35,8 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
+OUT = HERE / "BENCH_check.json"
+SEED = 1
 COMMANDS = {"check": "kahler", "sw": "spin_biased", "verify": "kahler"}
 
 
@@ -57,7 +60,7 @@ def _time_ms(main, argv: list[str], repeats: int) -> float:
     return best * 1e3
 
 
-def measure(repo: Path, sizes: list[int], matrices: int, repeats: int, seed: int) -> dict:
+def measure(repo: Path, sizes: list[int], matrices: int, repeats: int) -> dict:
     sys.path[:0] = [str(repo / "src"), str(HERE / "tests")]
     import numpy
     import samplers
@@ -66,7 +69,7 @@ def measure(repo: Path, sizes: list[int], matrices: int, repeats: int, seed: int
     ms: dict[str, dict[str, float]] = {cmd: {} for cmd in COMMANDS}
     for n in sizes:
         for cmd, sampler in COMMANDS.items():
-            rng = random.Random(seed * 1000 + n)
+            rng = random.Random(SEED * 1000 + n)
             times = []
             for _ in range(matrices):
                 spec = _spec(n, samplers.SAMPLERS[sampler](n, rng))
@@ -82,7 +85,7 @@ def measure(repo: Path, sizes: list[int], matrices: int, repeats: int, seed: int
         "sizes": sizes,
         "matrices_per_n": matrices,
         "repeats": repeats,
-        "seed": seed,
+        "seed": SEED,
         "ms": ms,
     }
 
@@ -93,15 +96,13 @@ def main() -> None:
     parser.add_argument("--label", required=True, help="name of the entry, e.g. parent")
     parser.add_argument("--sizes", type=int, nargs="+", default=[12, 48, 128, 256])
     parser.add_argument("--matrices", type=int, default=3)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, default=HERE / "BENCH_check.json")
+    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     entry = {"label": args.label}
-    entry.update(measure(args.repo.resolve(), args.sizes, args.matrices, args.repeats, args.seed))
-    entries = json.loads(args.out.read_text()) if args.out.exists() else []
+    entry.update(measure(args.repo.resolve(), args.sizes, args.matrices, args.repeats))
+    entries = json.loads(OUT.read_text()) if OUT.exists() else []
     entries.append(entry)
-    args.out.write_text(json.dumps(entries, indent=1) + "\n")
+    OUT.write_text(json.dumps(entries, indent=1) + "\n")
     print(json.dumps(entry["ms"]))
 
 
