@@ -283,8 +283,12 @@ def deg2_to_vector(p: F2Polynomial, d: int) -> Deg2Vector:
     return Deg2Vector(bits, d)
 
 
-def _lowest_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1
+def _set_bits(x: int):
+    """Positions of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 class F2RowSpace:
@@ -292,6 +296,15 @@ class F2RowSpace:
 
     Basis rows are nonzero with strictly increasing pivot positions
     (lowest pair index first) and each pivot occurs in exactly one row.
+
+    Elimination follows the set bits rather than the basis.  Forward
+    elimination fills a pivot map {pivot position: row}: an incoming row
+    is xored only with the rows whose pivots it holds, lowest first, and
+    a row left nonzero is filed under its lowest bit.  Back-substitution
+    then runs from the highest pivot down: a row holds other pivots only
+    above its own, and those rows are already reduced, so xoring one in
+    clears that pivot and adds no other.  Reduction of a vector by the
+    reduced rows likewise touches exactly the pivots the vector holds.
     """
 
     def __init__(self, vectors: Iterable[Deg2Vector], d: int):
@@ -302,24 +315,29 @@ class F2RowSpace:
                 raise LengthMismatch(f"d={v.d} vs d={d}")
             rows.append(v.bits)
         self.basis = self._echelonize(rows)
+        self._row_at = {(b & -b).bit_length() - 1: b for b in self.basis}
+        self._pivot_mask = sum(b & -b for b in self.basis)
 
     @staticmethod
     def _echelonize(rows: list[int]) -> list[int]:
-        basis: list[int] = []
+        pivots: dict[int, int] = {}  # pivot position -> row with that lowest bit
+        mask = 0  # the bits of every pivot in the map
         for r in rows:
-            for b in basis:
-                if r & (b & -b):
-                    r ^= b
+            hit = r & mask
+            while hit:
+                r ^= pivots[(hit & -hit).bit_length() - 1]
+                hit = r & mask
             if r:
-                basis.append(r)
+                low = r & -r
+                pivots[low.bit_length() - 1] = r
+                mask |= low
         # Back-substitute so each pivot is zero in every other row.
-        basis.sort(key=_lowest_bit)
-        for k, b in enumerate(basis):
-            piv = b & -b
-            for m in range(len(basis)):
-                if m != k and basis[m] & piv:
-                    basis[m] ^= b
-        return basis
+        for p in sorted(pivots, reverse=True):
+            r = pivots[p]
+            for q in _set_bits(r & mask ^ (1 << p)):
+                r ^= pivots[q]
+            pivots[p] = r
+        return [pivots[p] for p in sorted(pivots)]
 
     @property
     def dimension(self) -> int:
@@ -330,9 +348,8 @@ class F2RowSpace:
         if v.d != self.d:
             raise LengthMismatch(f"d={v.d} vs d={self.d}")
         r = v.bits
-        for b in self.basis:
-            if r & (b & -b):
-                r ^= b
+        for p in _set_bits(r & self._pivot_mask):
+            r ^= self._row_at[p]
         return Deg2Vector(r, self.d)
 
     def reduction_trace(self, v: Deg2Vector) -> list[tuple[Deg2Vector, Deg2Vector]]:
@@ -341,10 +358,10 @@ class F2RowSpace:
             raise LengthMismatch(f"d={v.d} vs d={self.d}")
         r = v.bits
         steps = []
-        for b in self.basis:
-            if r & (b & -b):
-                r ^= b
-                steps.append((Deg2Vector(b, self.d), Deg2Vector(r, self.d)))
+        for p in _set_bits(r & self._pivot_mask):
+            b = self._row_at[p]
+            r ^= b
+            steps.append((Deg2Vector(b, self.d), Deg2Vector(r, self.d)))
         return steps
 
     def contains(self, v: Deg2Vector) -> bool:

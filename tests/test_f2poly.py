@@ -366,6 +366,88 @@ class TestReductionTrace:
                     check_reduction_trace(space, v)
 
 
+def dense_echelon(rows: list[int]) -> list[int]:
+    """Dense Gauss-Jordan, F2RowSpace's elimination before it followed set bits.
+
+    Each row is tested against every basis row, then back-substitution
+    tests every row against every pivot.  Kept as the reference that the
+    pivot-map elimination must reproduce row for row.
+    """
+    basis: list[int] = []
+    for r in rows:
+        for b in basis:
+            if r & (b & -b):
+                r ^= b
+        if r:
+            basis.append(r)
+    basis.sort(key=lambda b: (b & -b).bit_length())
+    for k, b in enumerate(basis):
+        piv = b & -b
+        for m in range(len(basis)):
+            if m != k and basis[m] & piv:
+                basis[m] ^= b
+    return basis
+
+
+def dense_trace(basis: list[int], bits: int) -> list[tuple[int, int]]:
+    """(row, remainder) steps of reducing bits by every basis row in order."""
+    steps = []
+    for b in basis:
+        if bits & (b & -b):
+            bits ^= b
+            steps.append((b, bits))
+    return steps
+
+
+def assert_matches_dense(gens: list[Deg2Vector], d: int, probes: list[Deg2Vector]) -> None:
+    space = F2RowSpace(gens, d)
+    basis = dense_echelon([g.bits for g in gens])
+    assert space.basis == basis
+    assert space.dimension == len(basis)
+    for v in probes:
+        trace = [(b.bits, r.bits) for b, r in space.reduction_trace(v)]
+        assert trace == dense_trace(basis, v.bits)
+        assert space.reduce(v).bits == (trace[-1][1] if trace else v.bits)
+
+
+class TestAgainstDenseEchelon:
+    """The pivot-map elimination gives the dense Gauss-Jordan's rows and traces."""
+
+    def test_seeded_vector_sets(self):
+        rng = random.Random("dense-echelon")
+        for d in range(1, 65):
+            length = deg2_length(d)
+            for sparsity in (1, 3, 6):  # each bit set with probability 2^-sparsity
+                rows = []
+                for _ in range(rng.randrange(1, 2 * d + 2)):
+                    r = rng.getrandbits(length)
+                    for _ in range(sparsity - 1):
+                        r &= rng.getrandbits(length)
+                    rows.append(r)
+                # zero, duplicate and dependent rows among the independent ones
+                rows.append(0)
+                rows.append(rng.choice(rows))
+                a, b = rng.sample(rows, 2)
+                rows.append(a ^ b)
+                rng.shuffle(rows)
+                gens = [Deg2Vector(r, d) for r in rows]
+                probes = [Deg2Vector(0, d), *gens[:4], gens[0] ^ gens[-1]]
+                probes += [Deg2Vector(rng.getrandbits(length), d) for _ in range(3)]
+                assert_matches_dense(gens, d, probes)
+
+    @pytest.mark.parametrize("n", [12, 48, 128])
+    def test_theta_spans_of_sampled_matrices(self, n):
+        rng = random.Random(f"dense-echelon-thetas-{n}")
+        for kind in sorted(samplers.SAMPLERS):
+            A = BottMatrix.from_row_masks(n, samplers.SAMPLERS[kind](n, rng))
+            data = sw_data(to_pmatrix(A))
+            d = data.d
+            gens = [deg2_to_vector(t, d) for t in data.thetas]
+            probes = [deg2_to_vector(data.w2, d), *gens[:3]]
+            probes += [Deg2Vector(rng.getrandbits(deg2_length(d)), d) for _ in range(2)]
+            assert_matches_dense(gens, d, probes)
+
+
 class TestRendering:
     @given(mixed_polynomials(12))
     def test_matches_reference_rendering(self, p):
