@@ -315,8 +315,9 @@ class F2RowSpace:
                 raise LengthMismatch(f"d={v.d} vs d={d}")
             rows.append(v.bits)
         self.basis = self._echelonize(rows)
-        self._row_at = {(b & -b).bit_length() - 1: b for b in self.basis}
-        self._pivot_mask = sum(b & -b for b in self.basis)
+        pivots = [b & -b for b in self.basis]
+        self._row_at = {piv.bit_length() - 1: b for piv, b in zip(pivots, self.basis)}
+        self._pivot_mask = sum(pivots)
 
     @staticmethod
     def _echelonize(rows: list[int]) -> list[int]:
