@@ -27,9 +27,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
-# sw and verify run the generic referee, whose cost grows 6-17x per
-# doubling of n; at n = 512 each takes one to two seconds (README, "Cost of
-# the generic route").  Larger matrices are refused before any work.
+# sw and verify run the generic referee, whose cost grows 4-7x per
+# doubling of n; at n = 512 sw takes about half a second and verify about
+# a fifth (README, "Cost of the generic route").  Larger matrices are
+# refused before any work.
 REFEREE_MAX_N = 512
 
 
