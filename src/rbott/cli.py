@@ -28,9 +28,9 @@ EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
 # sw and verify run the generic referee, whose cost grows 4-7x per
-# doubling of n; at n = 512 sw takes about half a second and verify about
-# a fifth (README, "Cost of the generic route").  Larger matrices are
-# refused before any work.
+# doubling of n; at n = 512 sw takes under half a second and verify under
+# a fifth of one (README, "Cost of the generic route").  Larger matrices
+# are refused before any work.
 REFEREE_MAX_N = 512
 
 
