@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import compress, groupby
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class NotHomogeneousDegree2(ValueError):
@@ -283,7 +283,7 @@ def deg2_to_vector(p: F2Polynomial, d: int) -> Deg2Vector:
     return Deg2Vector(bits, d)
 
 
-def _set_bits(x: int):
+def _set_bits(x: int) -> Iterator[int]:
     """Positions of the set bits of x, ascending."""
     while x:
         low = x & -x
