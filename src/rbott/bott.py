@@ -12,7 +12,8 @@ A BottMatrix is stored as n and its row bitmasks: bit j of row_masks[i]
 is the entry a_ij (0-based), as in the census kernel.  The Kähler test,
 the reduction, both spin criteria and the corollary work on those masks
 and on their transpose column_masks; every entry-level view (rows,
-columns, the text format, the P-matrix, the generators) reads them.
+columns, the text format, the generators) reads them; they are the
+high plane of the P-matrix.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from .f2poly import bit_flags, transpose
 from .pmatrix import PMatrix, admits_spin_oracle
 
 
@@ -40,19 +42,9 @@ class DimensionMismatch(ValueError):
     pass
 
 
-# the ASCII digits "0" and "1" as the entries 0 and 1, and as the P-matrix entries 0 and 2
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-_P_ENTRIES = bytes.maketrans(b"01", b"\x00\x02")
-
-
-def _digits(mask: int, n: int) -> str:
-    """The n digits of mask, bit k at position k."""
-    return f"{mask:0{n}b}"[::-1]
-
-
 def _entries(mask: int, n: int) -> tuple[int, ...]:
     """The n bits of mask as 0/1 entries, bit k at position k."""
-    return tuple(_digits(mask, n).encode().translate(_BIT_VALUES))
+    return tuple(bit_flags(mask | 1 << n)[:n])  # bit n makes at least n flags
 
 
 def _store(A: BottMatrix, n: int, masks: list[int], lengths) -> BottMatrix:
@@ -112,10 +104,7 @@ class BottMatrix:
     @cached_property
     def column_masks(self) -> tuple[int, ...]:
         """Bit i of column_masks[j] is a_ij (0-based): the transpose of row_masks."""
-        # last row first, high bit first: each stride-n slice is a column
-        n = self.n
-        digits = "".join([f"{m:0{n}b}" for m in reversed(self.row_masks)])
-        return tuple(int(digits[p::n], 2) for p in range(n - 1, -1, -1))
+        return transpose(self.row_masks, self.n)
 
     def column(self, j: int) -> tuple[int, ...]:
         return _entries(self.column_masks[j - 1], self.n)
@@ -173,16 +162,17 @@ class BottMatrix:
         return BottMatrix.from_text(spec.replace(";", "\n"))
 
     def to_text(self, header: bool = False) -> str:
-        body = "\n".join(_digits(m, self.n) for m in self.row_masks)
+        body = "\n".join(f"{m:0{self.n}b}"[::-1] for m in self.row_masks)
         return f"{self.n}\n{body}" if header else body
 
 
 def to_pmatrix(A: BottMatrix) -> PMatrix:
-    """P-matrix of the Bott manifold: 1 on the diagonal, 2 where a_ij = 1."""
+    """P-matrix of the Bott manifold: 1 on the diagonal, 2 where a_ij = 1.
+
+    The 1s are the low plane, the 2s (the row masks) the high plane.
+    """
     n = A.n
-    flat = bytearray("".join(_digits(m, n) for m in A.row_masks).encode().translate(_P_ENTRIES))
-    flat[:: n + 1] = b"\x01" * n  # the diagonal, 0 in a strictly upper triangular A
-    return PMatrix.from_valid(tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n)))
+    return PMatrix.from_planes(n, tuple(1 << i for i in range(n)), A.row_masks)
 
 
 def is_kahler(A: BottMatrix) -> bool:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import compress, groupby
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class NotHomogeneousDegree2(ValueError):
@@ -212,6 +212,13 @@ _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 def bit_flags(bits: int) -> bytes:
     """Byte k is bit k of bits (0 or 1), up to the highest set bit."""
     return bin(bits)[:1:-1].encode().translate(_BIT_VALUES)
+
+
+def transpose(masks: Sequence[int], width: int) -> tuple[int, ...]:
+    """Bit i of column j is bit j of masks[i]: at least one mask, each below 2^width."""
+    # last row first, high bit first: each stride-width slice is a column
+    digits = "".join([f"{m:0{width}b}" for m in reversed(masks)])
+    return tuple(int(digits[p::width], 2) for p in range(width - 1, -1, -1))
 
 
 @functools.lru_cache(maxsize=16)

@@ -8,6 +8,10 @@ decides freeness and full holonomy of the action, computes the classes
 alpha_j, beta_j, theta_j and the degree <= 2 Stiefel-Whitney data, and
 exposes the cohomological spin test via degree-2 ideal membership.
 
+A PMatrix is stored as n and two row bit-planes, entry = low + 2 high
+bit by bit.  Every reader works on the planes; entries and column(j)
+are views for printing and for the reference class_*_j.
+
 sw_data is the generic referee that the closed-form spin criterion and
 the census kernel are tested against.  It carries the linear classes as
 bitmasks of the d variables while it expands w2 (see its docstring) and
@@ -30,6 +34,7 @@ from .f2poly import (
     bit_flags,
     deg2_to_vector,
     row_space_membership,
+    transpose,
 )
 
 
@@ -39,9 +44,6 @@ class ColumnOutOfRange(IndexError):
 
 class InvalidPEntry(ValueError):
     pass
-
-
-_P_VALUES = frozenset((0, 1, 2, 3))
 
 
 def pentry_add(a: int, b: int) -> int:
@@ -61,65 +63,86 @@ def beta_form(a: int) -> int:
     return a & 1
 
 
-@dataclass(frozen=True)
+def _bytewise(mask: int) -> int:
+    """mask with bit k moved to bit 8k: byte k is bit k of mask."""
+    return int.from_bytes(bit_flags(mask), "little")
+
+
+# an entry by its value: 1.0 and True are 1, as `in (0, 1, 2, 3)` reads them
+_ENTRY_BITS = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
+
+
+@dataclass(frozen=True, init=False)
 class PMatrix:
-    """d x n matrix over P; rows index group generators, columns torus coordinates."""
+    """d x n matrix over P; rows index group generators, columns torus coordinates.
 
-    entries: tuple[tuple[int, ...], ...]
+    Stored as n and two row bit-planes: entry (i, j) (0-based) is bit j of
+    low[i] plus twice bit j of high[i].
+    """
 
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+    n: int
+    low: tuple[int, ...]
+    high: tuple[int, ...]
+
+    def __init__(self, entries):
+        if not entries or not entries[0]:
             raise ValueError("P-matrix must have at least one row and column")
-        n = len(self.entries[0])
-        for row in self.entries:
+        n = len(entries[0])
+        low, high = [], []
+        for row in entries:
             if len(row) != n:
                 raise ValueError("ragged P-matrix")
-            # whole-row test first; the entry loop names the first bad entry
-            try:
-                if _P_VALUES.issuperset(row):
-                    continue
-            except TypeError:  # an unhashable entry
-                pass
-            for v in row:
-                if v not in (0, 1, 2, 3):
-                    raise InvalidPEntry(f"entry {v}")
+            lo = hi = 0
+            for j, v in enumerate(row):
+                try:
+                    a, b = _ENTRY_BITS[v]
+                except (KeyError, TypeError):  # TypeError: an unhashable entry
+                    raise InvalidPEntry(f"entry {v}") from None
+                lo |= a << j
+                hi |= b << j
+            low.append(lo)
+            high.append(hi)
+        self.__dict__.update(n=n, low=tuple(low), high=tuple(high))
 
     @staticmethod
-    def from_valid(entries: tuple[tuple[int, ...], ...]) -> "PMatrix":
-        """The P-matrix of entries already known to be valid: a nonempty
-        rectangle of ints 0..3, as tuples.  Checks nothing; PMatrix(entries)
-        checks outside input."""
+    def from_planes(n: int, low: tuple[int, ...], high: tuple[int, ...]) -> "PMatrix":
+        """The P-matrix of planes known to be valid: d >= 1 of each, all below 2^n.
+        Checks nothing; PMatrix(entries) checks outside input."""
         E = object.__new__(PMatrix)
-        object.__setattr__(E, "entries", entries)
+        E.__dict__.update(n=n, low=low, high=high)
         return E
 
     @property
     def d(self) -> int:
-        return len(self.entries)
+        return len(self.low)
 
     @property
-    def n(self) -> int:
-        return len(self.entries[0])
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        # byte j of _bytewise(lo) | _bytewise(hi) << 1 is entry j of the row
+        return tuple(
+            tuple((_bytewise(lo) | _bytewise(hi) << 1).to_bytes(self.n, "little"))
+            for lo, hi in zip(self.low, self.high)
+        )
 
     def column(self, j: int) -> tuple[int, ...]:
         if not 1 <= j <= self.n:
             raise ColumnOutOfRange(f"column {j} of {self.n}")
-        return tuple(row[j - 1] for row in self.entries)
+        k = j - 1
+        return tuple((lo >> k & 1) | (hi >> k & 1) << 1 for lo, hi in zip(self.low, self.high))
 
 
 def _row_subset_sums(E: PMatrix) -> Iterator[int]:
     """Every nonempty row-subset sum, the single rows first.
 
-    Entries add in F2^2 (xor of 0..3), so a row packed two bits per
-    column (column j at bits 2j, 2j+1) sums by integer xor.  After the
-    single rows, the subsets of two or more rows whose last row is p
-    are the nonempty subsets of the rows before p, each xor p: one xor
-    per subset.  The order matters for the predicates below, which stop
-    at the first failing subset: a single row fails at once on many
-    inputs (the last row of a Bott matrix's P-matrix has no 2 or 3),
-    where all the subsets are 2^d - 1.
+    Entries add in F2^2 (xor of 0..3), so rows packed as low | high << n
+    sum by integer xor.  After the single rows, the subsets of two or
+    more rows whose last row is p are the nonempty subsets of the rows
+    before p, each xor p: one xor per subset.  The order matters for the
+    predicates below, which stop at the first failing subset: a single
+    row fails at once on many inputs (the last row of a Bott matrix's
+    P-matrix has no 2 or 3), where all the subsets are 2^d - 1.
     """
-    packed = [sum(v << 2 * j for j, v in enumerate(row)) for row in E.entries]
+    packed = [lo | hi << E.n for lo, hi in zip(E.low, E.high)]
     yield from packed
     sums: list[int] = []  # the nonempty subsets of the rows so far
     for p in packed:
@@ -131,16 +154,15 @@ def _row_subset_sums(E: PMatrix) -> Iterator[int]:
 
 def is_free_action(E: PMatrix) -> bool:
     """Action has no fixed points: every nonempty row-subset sum contains a 1."""
-    low = int("01" * E.n, 2)  # the low bit of every column's digit
-    # a digit is 1 when its low bit is set and its high bit clear
-    return all(s & ~(s >> 1) & low for s in _row_subset_sums(E))
+    n = E.n  # an entry is 1 when its low bit is set and its high bit clear
+    full = (1 << n) - 1
+    return all(s & ~(s >> n) & full for s in _row_subset_sums(E))
 
 
 def has_full_holonomy(E: PMatrix) -> bool:
     """Whole group acts as holonomy: every row-subset sum contains a 2 or 3."""
-    low = int("01" * E.n, 2)
-    # a digit is 2 or 3 when its high bit is set
-    return all((s >> 1) & low for s in _row_subset_sums(E))
+    n = E.n  # an entry is 2 or 3 when its high bit is set
+    return all(s >> n for s in _row_subset_sums(E))
 
 
 def _linear_form(col: tuple[int, ...], form) -> F2Polynomial:
@@ -160,25 +182,6 @@ def class_beta_j(E: PMatrix, j: int) -> F2Polynomial:
 
 def class_theta_j(E: PMatrix, j: int) -> F2Polynomial:
     return class_alpha_j(E, j) * class_beta_j(E, j)
-
-
-# entries 0..3 as the ASCII digit of alpha_form and of beta_form
-_ALPHA_DIGITS = bytes.maketrans(b"\x00\x01\x02\x03", b"0110")
-_BETA_DIGITS = bytes.maketrans(b"\x00\x01\x02\x03", b"0101")
-
-
-def _column_masks(E: PMatrix) -> list[tuple[int, int]]:
-    """(alpha mask, beta mask) of every column: bit i - 1 is the form at row i.
-
-    Entries must be ints (or bools); bytes() refuses the others.
-    """
-    masks = []
-    for col in zip(*E.entries):
-        raw = bytes(col[::-1])  # row d first, as int(..., 2) reads it
-        masks.append(
-            (int(raw.translate(_ALPHA_DIGITS), 2), int(raw.translate(_BETA_DIGITS), 2))
-        )
-    return masks
 
 
 def _ones(mask: int) -> Iterator[int]:
@@ -223,9 +226,10 @@ def sw_data(E: PMatrix) -> SWData:
     w2 = sum_j (c_1 + ... + c_{j-1}) c_j.
 
     Each linear class is a d-bit mask, bit a the coefficient of x_{a+1},
-    read from the P-matrix once per column; c_j = alpha_j xor beta_j
-    marks the rows whose entry is 2 or 3.  w2 is expanded term by term
-    into a d x d matrix S over F2, held as row masks: multiplying the
+    read from one transpose of the stacked planes: beta_j is column j of
+    the low plane, c_j (the rows whose entry is 2 or 3) column j of the
+    high plane, and alpha_j = beta_j xor c_j.  w2 is expanded term by
+    term into a d x d matrix S over F2, held as row masks: multiplying the
     prefix by c_j adds c_j to row a of S for every bit a of the prefix.
     T, the transpose of S, is kept alongside, getting the prefix in row
     b for every bit b of c_j.  Since x_a x_b = x_b x_a, the coefficient
@@ -241,12 +245,12 @@ def sw_data(E: PMatrix) -> SWData:
     of polynomials.
     """
     d = E.d
-    masks = _column_masks(E)
+    full = (1 << d) - 1
+    masks = [(t & full, t >> d) for t in transpose(E.low + E.high, E.n)]
     S = [0] * d
     T = [0] * d
     prefix = 0
-    for alpha, beta in masks:
-        c = alpha ^ beta
+    for _, c in masks:
         for a in _ones(prefix):
             S[a] ^= c
         for b in _ones(c):
@@ -259,8 +263,8 @@ def sw_data(E: PMatrix) -> SWData:
         upper = ((row ^ col) >> a & ~1) | (row >> a & 1)
         w2 |= upper << offset
         offset += d - a
-    alphas = tuple(_linear_poly(alpha, d) for alpha, _ in masks)
-    betas = tuple(_linear_poly(beta, d) for _, beta in masks)
+    alphas = tuple(_linear_poly(beta ^ c, d) for beta, c in masks)
+    betas = tuple(_linear_poly(beta, d) for beta, _ in masks)
     return SWData(
         d=d,
         alphas=alphas,
@@ -304,10 +308,8 @@ def characteristic_ideal_deg2(E: PMatrix) -> F2RowSpace:
 
 def is_orientable(E: PMatrix) -> bool:
     """True iff w1 = sum_j (alpha_j + beta_j) vanishes; builds nothing of degree 2."""
-    w1 = 0
-    for alpha, beta in _column_masks(E):
-        w1 ^= alpha ^ beta
-    return w1 == 0
+    # the coefficient of x_i in w1 is the parity of the 2s and 3s in row i
+    return not any(hi.bit_count() % 2 for hi in E.high)
 
 
 def admits_spin_oracle(E: PMatrix) -> bool:

@@ -126,6 +126,18 @@ class TestToPMatrix:
                     expected = 2 if paper_example.entry(i, j) else 0
                     assert E.entries[i - 1][j - 1] == expected
 
+    def test_planes(self):
+        # the 1s are the diagonal (low plane), the 2s the row masks (high plane)
+        rng = random.Random(29)
+        for n in (1, 2, 5, 12, 48, 256):
+            A = random_bott(rng, n)
+            E = to_pmatrix(A)
+            assert (E.n, E.low, E.high) == (n, tuple(1 << i for i in range(n)), A.row_masks)
+            assert E.entries == tuple(
+                tuple(1 if i == j else 2 * v for j, v in enumerate(row))
+                for i, row in enumerate(A.rows)
+            )
+
     def test_entries_pass_the_checks(self):
         # to_pmatrix skips PMatrix's checks; what it builds must pass them
         rng = random.Random(23)
@@ -134,6 +146,18 @@ class TestToPMatrix:
             assert PMatrix(E.entries) == E
             assert {type(v) for row in E.entries for v in row} <= {int}
             assert all(type(row) is tuple for row in E.entries)
+
+
+class TestColumnMasks:
+    def test_against_rows_and_columns(self):
+        rng = random.Random("column-masks")
+        for n in (1, 2, 3, 7, 16, 33, 48, 64):
+            A = random_bott(rng, n)
+            columns = [tuple(row[j] for row in A.rows) for j in range(n)]
+            assert A.columns() == columns
+            assert A.column_masks == tuple(
+                sum(v << i for i, v in enumerate(col)) for col in columns
+            )
 
 
 class TestKahler:

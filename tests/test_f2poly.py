@@ -20,6 +20,7 @@ from rbott.f2poly import (
     index_pair,
     pair_index,
     row_space_membership,
+    transpose,
 )
 from rbott.pmatrix import ideal_deg2, sw_data
 
@@ -561,3 +562,25 @@ class TestAgainstReference:
     def test_from_dict_validates(self, bad):
         with pytest.raises(ValueError):
             Monomial.from_dict(bad)
+
+
+class TestTranspose:
+    def test_against_entrywise_transpose(self):
+        rng = random.Random("transpose")
+        for width in range(1, 65):
+            for rows in (1, 2, rng.randrange(3, 70)):
+                masks = [rng.getrandbits(width) for _ in range(rows)]
+                if rows > 1:
+                    masks[0] = 0  # a zero row
+                    masks[-1] = (1 << width) - 1  # a full row
+                assert transpose(masks, width) == tuple(
+                    sum((m >> j & 1) << i for i, m in enumerate(masks))
+                    for j in range(width)
+                )
+
+    def test_twice_is_the_identity(self):
+        rng = random.Random("transpose-twice")
+        for _ in range(50):
+            rows, width = rng.randrange(1, 65), rng.randrange(1, 65)
+            masks = tuple(rng.getrandbits(width) for _ in range(rows))
+            assert transpose(transpose(masks, width), rows) == masks

@@ -131,7 +131,7 @@ class TestActionPredicates:
         rng = random.Random(23)
         for _ in range(50):
             E = random_pmatrix(rng)
-            packed = [sum(v << 2 * j for j, v in enumerate(row)) for row in E.entries]
+            packed = [sum((v & 1) << j | (v >> 1) << (E.n + j) for j, v in enumerate(row)) for row in E.entries]
             sums = list(pmatrix._row_subset_sums(E))
             assert sums[: E.d] == packed
             assert sorted(sums) == sorted(
@@ -362,3 +362,106 @@ class TestSpinOracle:
                 tuple(row[p] for p in perm) for row in E.entries
             ))
             assert admits_spin_oracle(E) == admits_spin_oracle(F)
+
+
+class TestConstruction:
+    """PMatrix(entries) names the first bad row or entry, as it always has."""
+
+    EMPTY = "P-matrix must have at least one row and column"
+
+    @pytest.mark.parametrize("entries", [(), ((),), ((), (1,)), [], [[]]])
+    def test_no_rows_or_empty_first_row(self, entries):
+        with pytest.raises(ValueError) as info:
+            PMatrix(entries)
+        assert type(info.value) is ValueError
+        assert str(info.value) == self.EMPTY
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ((1, 0), (1,)),
+            ((1, 0), (0, 1), (2, 3, 0)),
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1), ()),
+            ((1,), (0,), (0, 0)),
+        ],
+    )
+    def test_ragged_row(self, entries):
+        with pytest.raises(ValueError) as info:
+            PMatrix(entries)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "ragged P-matrix"
+
+    @pytest.mark.parametrize("bad", [4, -1, "1", None, [0], 1.5], ids=repr)
+    @pytest.mark.parametrize("position", [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)])
+    def test_bad_entry(self, bad, position):
+        rows = [[1, 2, 3], [0, 1, 2], [3, 0, 1]]
+        i, j = position
+        rows[i][j] = bad
+        with pytest.raises(InvalidPEntry) as info:
+            PMatrix(tuple(map(tuple, rows)))
+        assert type(info.value) is InvalidPEntry
+        assert str(info.value) == f"entry {bad}"
+
+    def test_first_bad_entry_of_a_row_is_named(self):
+        with pytest.raises(InvalidPEntry, match=r"^entry 4$"):
+            PMatrix(((1, 4, -1, None),))
+
+    def test_rows_are_checked_in_order(self):
+        # a bad entry in an earlier row is named before a later ragged row,
+        # and a ragged row before a bad entry in a later row
+        with pytest.raises(InvalidPEntry, match=r"^entry 7$"):
+            PMatrix(((1, 7), (1,)))
+        with pytest.raises(ValueError, match=r"^ragged P-matrix$"):
+            PMatrix(((1, 0), (1,), (9, 9)))
+
+
+def _shapes():
+    rng = random.Random("pmatrix-shapes")
+    shapes = [(1, 1), (1, 48), (48, 1), (48, 48), (5, 17), (17, 5)]
+    shapes += [(rng.randrange(1, 49), rng.randrange(1, 49)) for _ in range(20)]
+    return rng, shapes
+
+
+class TestEntryViews:
+    def test_round_trip_and_columns(self):
+        rng, shapes = _shapes()
+        for d, n in shapes:
+            E = random_pmatrix_of(rng, d, n)
+            # some rows, and sometimes every row, all zero
+            zero_rows = set(rng.sample(range(d), rng.randrange(d + 1)))
+            rows = tuple(
+                (0,) * n if i in zero_rows else row for i, row in enumerate(E.entries)
+            )
+            E = PMatrix(rows)
+            assert (E.d, E.n) == (d, n)
+            assert E.entries == rows
+            assert PMatrix(E.entries) == E
+            for j in range(1, n + 1):
+                assert E.column(j) == tuple(row[j - 1] for row in rows)
+            for j in (0, n + 1):
+                with pytest.raises(ColumnOutOfRange):
+                    E.column(j)
+
+    def test_entries_by_value(self):
+        # an entry equal to 0..3 is stored by its value: 1.0 and True are 1
+        rng = random.Random("entries-by-value")
+        twins = {0: (0, False, 0.0), 1: (1, True, 1.0), 2: (2, 2.0), 3: (3, 3.0)}
+        kinds = set()
+        for _ in range(60):
+            E = random_pmatrix(rng, max_d=5, max_n=6)
+            rows = tuple(tuple(rng.choice(twins[v]) for v in row) for row in E.entries)
+            F = PMatrix(rows)
+            kinds |= {type(v) for row in rows for v in row}
+            assert F == E and hash(F) == hash(E)
+            assert sw_data(F) == sw_data(E)
+            assert is_orientable(F) == is_orientable(E)
+            assert is_free_action(F) == is_free_action(E)
+            assert has_full_holonomy(F) == has_full_holonomy(E)
+        assert kinds == {int, bool, float}
+        assert sw_data(PMatrix(((1.0,),))) == sw_data(PMatrix(((1,),)))
+
+    def test_entries_are_int_tuples(self):
+        E = PMatrix([[True, 1.0, 2], [0, 3, False]])
+        assert E.entries == ((1, 1, 2), (0, 3, 0))
+        assert {type(v) for row in E.entries for v in row} == {int}
+        assert all(type(row) is tuple for row in E.entries)

@@ -16,7 +16,11 @@ The matrices are drawn with seed SEED.
 
 Every entry carries what is needed to reproduce it: the commit of the
 timed checkout (and whether its src/ differs from that commit), the
-Python and numpy versions, the CPU count and the kernel.
+Python and numpy versions, the CPU count and the kernel.  It also holds
+the machine's speed before and after the timings, as the best of
+PROBES runs of perfbench.speed.probe() (a fixed pure-Python loop that
+calls no rbott code): on a shared machine whose speed drifts, entries
+from different runs compare only where their probes agree.
 """
 
 from __future__ import annotations
@@ -35,8 +39,14 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
+if str(HERE) not in sys.path:
+    sys.path.insert(0, str(HERE))
+
+from perfbench.speed import probe  # noqa: E402
+
 OUT = HERE / "BENCH_check.json"
 SEED = 1
+PROBES = 3
 COMMANDS = {"check": "kahler", "sw": "spin_biased", "verify": "kahler"}
 
 
@@ -48,6 +58,10 @@ def _git(repo: Path, *args: str) -> str:
 
 def _spec(n: int, rows: list[int]) -> str:
     return ";".join(f"{r:0{n}b}"[::-1] for r in rows)
+
+
+def _probe_s() -> float:
+    return round(min(probe() for _ in range(PROBES)), 5)
 
 
 def _time_ms(main, argv: list[str], repeats: int) -> float:
@@ -67,6 +81,7 @@ def measure(repo: Path, sizes: list[int], matrices: int, repeats: int) -> dict:
     from rbott import cli
 
     ms: dict[str, dict[str, float]] = {cmd: {} for cmd in COMMANDS}
+    probe_before = _probe_s()
     for n in sizes:
         for cmd, sampler in COMMANDS.items():
             rng = random.Random(SEED * 1000 + n)
@@ -75,6 +90,7 @@ def measure(repo: Path, sizes: list[int], matrices: int, repeats: int) -> dict:
                 spec = _spec(n, samplers.SAMPLERS[sampler](n, rng))
                 times.append(_time_ms(cli.main, [cmd, "--matrix", spec, "--json"], repeats))
             ms[cmd][str(n)] = round(statistics.median(times), 3)
+    probe_after = _probe_s()
     return {
         "commit": _git(repo, "rev-parse", "HEAD"),
         "src_modified": bool(_git(repo, "status", "--porcelain", "--", "src")),
@@ -86,6 +102,7 @@ def measure(repo: Path, sizes: list[int], matrices: int, repeats: int) -> dict:
         "matrices_per_n": matrices,
         "repeats": repeats,
         "seed": SEED,
+        "probe_s": {"before": probe_before, "after": probe_after},
         "ms": ms,
     }
 
