@@ -453,15 +453,11 @@ class TestEntryViews:
             F = PMatrix(rows)
             kinds |= {type(v) for row in rows for v in row}
             assert F == E and hash(F) == hash(E)
+            assert F.entries == E.entries
+            assert {type(v) for row in F.entries for v in row} == {int}
             assert sw_data(F) == sw_data(E)
             assert is_orientable(F) == is_orientable(E)
             assert is_free_action(F) == is_free_action(E)
             assert has_full_holonomy(F) == has_full_holonomy(E)
         assert kinds == {int, bool, float}
         assert sw_data(PMatrix(((1.0,),))) == sw_data(PMatrix(((1,),)))
-
-    def test_entries_are_int_tuples(self):
-        E = PMatrix([[True, 1.0, 2], [0, 3, False]])
-        assert E.entries == ((1, 1, 2), (0, 3, 0))
-        assert {type(v) for row in E.entries for v in row} == {int}
-        assert all(type(row) is tuple for row in E.entries)
