@@ -130,7 +130,7 @@ class BottMatrix:
         def parse_rows(body, expected):
             rows = [ln.replace(" ", "").replace("\t", "") for ln in body]
             for ln, digits in zip(body, rows):
-                if set(digits) - {"0", "1"}:
+                if digits.strip("01"):  # some character is not 0 or 1
                     raise ValueError(f"bad matrix row: {ln!r}")
             if len(rows) != expected:
                 raise ValueError(f"header says {expected} rows, found {len(rows)}")
@@ -138,7 +138,7 @@ class BottMatrix:
             return _store(object.__new__(BottMatrix), expected, masks, map(len, rows))
 
         first = lines[0].replace(" ", "").replace("\t", "")
-        if set(first) - {"0", "1"}:
+        if first.strip("01"):
             # A line that is not pure 0/1 digits must be the size header.
             try:
                 expected = int(first)
@@ -309,10 +309,18 @@ class AffineIsometry:
 
     def inverse(self) -> "AffineIsometry":
         # (S, a)^-1 = (S, -S a) for diagonal involutive S.
-        return AffineIsometry(
+        return _isometry(
             self.signs,
             tuple(-s * t for s, t in zip(self.signs, self.half_translation)),
         )
+
+
+def _isometry(signs: tuple[int, ...], half_translation: tuple[int, ...]) -> AffineIsometry:
+    """The isometry of parts known to be valid: +-1 signs, as many as translations.
+    Checks nothing; AffineIsometry(...) checks outside input."""
+    g = object.__new__(AffineIsometry)
+    g.__dict__.update(signs=signs, half_translation=half_translation)
+    return g
 
 
 def compose(s: AffineIsometry, t: AffineIsometry) -> AffineIsometry:
@@ -324,7 +332,7 @@ def compose(s: AffineIsometry, t: AffineIsometry) -> AffineIsometry:
         sa * tb + ta
         for sa, tb, ta in zip(s.signs, t.half_translation, s.half_translation)
     )
-    return AffineIsometry(signs, trans)
+    return _isometry(signs, trans)
 
 
 def generators(A: BottMatrix) -> list[AffineIsometry]:
@@ -340,5 +348,5 @@ def generators(A: BottMatrix) -> list[AffineIsometry]:
         # strictly upper triangular: bit k of row is 0 for k <= i
         signs = tuple(-1 if row >> k & 1 else 1 for k in range(n))
         trans = tuple(1 if k == i else 0 for k in range(n))
-        gens.append(AffineIsometry(signs, trans))
+        gens.append(_isometry(signs, trans))
     return gens

@@ -8,6 +8,19 @@ expected).
 Each per-matrix command computes every result once, into one document.
 With --json the document is printed as JSON; in text mode its
 _render_<command> function formats it and computes nothing.
+
+main dispatches on the first word: when it names a command, that
+command's sub-parser parses the rest (parse_known_args) and main sets
+args.command itself, so a request pays for one parser, not two.  The full
+parser of build_parser() runs only when the first word is not a command
+(no words, -h, an unknown command) or when words are left over; it then
+prints the usage, help and errors ("invalid choice", "unrecognized
+arguments") that argparse gives.  Errors inside a command's own options
+come from the same sub-parser either way.
+
+--json documents are written by _dumps, byte for byte what
+json.dumps(document, indent=2) writes, but through the C encoder, which
+the json module skips whenever indent is set.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ import contextlib
 import functools
 import json
 import sys
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 from . import bott, census as census_mod, pmatrix as pmx
 from .f2poly import deg2_to_vector
@@ -39,9 +53,11 @@ class InputError(Exception):
 
 
 def _load_matrix(args) -> bott.BottMatrix:
-    if getattr(args, "matrix", None):
+    if args.matrix is not None and args.file is not None:
+        raise InputError(f"two matrices given, the file {args.file} and --matrix: pass one")
+    if args.matrix is not None:
         source, text = "--matrix", args.matrix.replace(";", "\n")
-    elif getattr(args, "file", None):
+    elif args.file is not None:
         try:
             with open(args.file) as fh:
                 text = fh.read()
@@ -69,11 +85,63 @@ def _load_referee_matrix(args) -> bott.BottMatrix:
     return A
 
 
+_CONTAINERS = (list, tuple, dict)
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+@functools.cache
+def _level(depth: int):
+    """(C encoder whose items sit at depth, newline + indent of depth)."""
+    newline = "\n" + "  " * depth
+    encoder = c_make_encoder(
+        None, JSONEncoder().default, encode_basestring_ascii, None, ": ", "," + newline,
+        False, False, True,
+    )
+    return encoder, newline
+
+
+def _indented(obj, depth: int) -> str:
+    """json.dumps(obj, indent=2) of a list, tuple or dict whose brackets sit at depth.
+
+    A container that holds no container is one call of the C encoder, its
+    item separator carrying the newline and indent.  Otherwise each
+    nested container stands in as 0 for that call; no encoded key or
+    scalar holds a raw newline, so splitting the text on the separator
+    gives the items, and each 0 is replaced by its container's text.
+    """
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    encode, newline = _level(depth + 1)
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    if set(map(type, values)) <= _SCALARS:
+        body = "".join(encode(obj, 0))[1:-1]
+    else:
+        values = list(values)
+        nested = [i for i, v in enumerate(values) if isinstance(v, _CONTAINERS)]
+        flat = values.copy()
+        for i in nested:
+            flat[i] = 0
+        items = "".join(encode(dict(zip(obj, flat)) if is_dict else flat, 0))[1:-1]
+        items = items.split("," + newline)
+        for i in nested:
+            items[i] = items[i][:-1] + _indented(values[i], depth + 1)
+        body = ("," + newline).join(items)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}{newline}{body}{_level(depth)[1]}{closing}"
+
+
+def _dumps(document) -> str:
+    """json.dumps(document, indent=2), through the C encoder where there is one."""
+    if c_make_encoder is None or not isinstance(document, _CONTAINERS):
+        return json.dumps(document, indent=2)
+    return _indented(document, 0)
+
+
 def _emit(args, document: dict, render) -> None:
     """Print the document as JSON, or in text mode the lines render(document)."""
     if args.json:
-        document = {"schema_version": SCHEMA_VERSION, **document}
-        print(json.dumps(document, indent=2))
+        print(_dumps({"schema_version": SCHEMA_VERSION, **document}))
     else:
         print("\n".join(render(document)))
 
@@ -216,7 +284,7 @@ def cmd_census(args) -> int:
     with out or contextlib.nullcontext():
         report = census_mod.run_census(**request)
         document = {"schema_version": SCHEMA_VERSION, "command": "census", **report.to_dict()}
-        payload = json.dumps(document, indent=2)
+        payload = _dumps(document)
         if out:
             try:
                 out.truncate(0)
@@ -335,12 +403,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_args(p)
     p.set_defaults(func=cmd_verify)
 
+    parser.commands = subs.choices  # main's dispatch table: name -> sub-parser
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), through the command's own sub-parser
+    when argv starts with a command and that parser uses every word."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -374,3 +375,25 @@ class TestCompose:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             compose(AffineIsometry.identity(2), AffineIsometry.identity(3))
+
+    def test_outside_input_checked(self):
+        with pytest.raises(DimensionMismatch, match="^signs and translation lengths differ$"):
+            AffineIsometry((1,), (0, 0))
+        for signs in ((1, 0), (2, 1), (-1, "1")):
+            with pytest.raises(ValueError, match=r"^signs must be \+-1$"):
+                AffineIsometry(signs, (0, 0))
+
+    def test_unchecked_results_equal_checked_twins(self):
+        # compose, inverse and generators skip the checks of AffineIsometry(...)
+        rng = random.Random(58)
+        for _ in range(20):
+            A = random_bott(rng, rng.randrange(1, 6))
+            gens = generators(A)
+            results = gens + [g.inverse() for g in gens]
+            results += [compose(g, h) for g in gens for h in gens]
+            for r in results:
+                twin = AffineIsometry(r.signs, r.half_translation)
+                assert type(r) is AffineIsometry
+                assert r == twin and hash(r) == hash(twin)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    r.signs = ()

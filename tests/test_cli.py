@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -95,6 +96,24 @@ class TestInputErrors:
         assert code == 2
 
     @pytest.mark.parametrize("cmd", ["check", "sw", "pmatrix", "generators", "verify"])
+    def test_empty_inline_matrix_is_given(self, capsys, cmd):
+        code, out, err = run(capsys, cmd, "--matrix", "")
+        assert (code, out, err) == (2, "", "error: --matrix: empty matrix text\n")
+
+    @pytest.mark.parametrize("cmd", ["check", "sw", "pmatrix", "generators", "verify"])
+    def test_file_and_inline_matrix_refused(self, capsys, paper_example_file, cmd):
+        for argv in (
+            [cmd, paper_example_file, "--matrix", "01;00"],
+            [cmd, "--matrix", "", paper_example_file],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: two matrices given, the file {paper_example_file} "
+                "and --matrix: pass one\n"
+            )
+
+    @pytest.mark.parametrize("cmd", ["check", "sw", "pmatrix", "generators", "verify"])
     @pytest.mark.parametrize("text", ["00", "+0"])
     def test_empty_matrix(self, capsys, tmp_path, cmd, text):
         # "00" falls back to the header reading (0 rows), "+0" is a header
@@ -121,6 +140,13 @@ def _fuzz_main(argv):
         return
     assert code in (0, 2, 3)
     assert (stdout.getvalue() == "") == (code == 2)
+
+
+@given(st.text(FUZZ_ALPHABET, max_size=30))
+def test_row_check_matches_set_test(text):
+    # BottMatrix.from_text asks strip("01") where it once built a set
+    for digits in (text, text.replace(" ", "").replace("\t", "")):
+        assert bool(digits.strip("01")) == bool(set(digits) - {"0", "1"})
 
 
 @settings(max_examples=150, deadline=None)
@@ -448,6 +474,128 @@ class TestOneDocument:
         assert (code, out) == (2, "")
         assert err == "error: matrix is not Kähler; verify needs a column pairing\n"
         assert calls["sw_data"] == []
+
+
+def _parse_outcome(parse, argv):
+    """(exit code or None, stdout, stderr, parsed namespace or None) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = args = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["--json", "check"],
+        ["-h"],
+        ["--help"],
+        ["check"],
+        ["check", "-h"],
+        ["check", "--he"],
+        ["census", "-h"],
+        ["check", "--bogus"],
+        ["check", "--matrix"],
+        ["check", "--matrix", "-0"],
+        ["check", "--matrix", "01;00", "--json"],
+        ["check", "--json", "--matrix=01;00"],
+        ["check", "--mat", "01;00"],
+        ["check", "--", "m.txt"],
+        ["check", "--matrix", "01;00", "--"],
+        ["check", "--", "--matrix"],
+        ["check", "a.txt", "b.txt"],
+        ["check", "a.txt", "--matrix", "01;00"],
+        ["verify", "--matrix", "0", "extra"],
+        ["sw", "--json", "--json", "--matrix", "0"],
+        ["generators", "-"],
+        ["census"],
+        ["census", "--dim", "x"],
+        ["census", "--dim", "4", "--no-oracle", "--workers", "2"],
+        ["census", "--di", "4", "--out", "r.json"],
+    ],
+)
+def test_dispatch_matches_full_parser(argv):
+    direct = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    assert _parse_outcome(cli._parse, argv) == direct
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["rbott", "check", "--matrix", "01;00", "--json"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 2
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+JSON_KEYS = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(JSON_KEYS, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """cli._dumps writes what json.dumps(document, indent=2) writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[], {}, [[]], [{}], {"a": []}, {"a": {"b": {}}}, [[[1]], []], ("é\x00\u2028", [None])],
+    )
+    def test_empty_and_nested(self, doc):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+    def test_without_c_encoder(self, monkeypatch):
+        monkeypatch.setattr(cli, "c_make_encoder", None)
+        doc = {"a": [1, {"b": "\u00e9"}], "c": None}
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+    def test_unserializable_value_raises_like_json(self):
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            cli._dumps({"a": [1], "b": {1}})
+
+    def test_every_cli_document(self, capsys, monkeypatch, kahler12_spec, tmp_path):
+        written = []
+
+        def checked(doc):
+            text = writer(doc)
+            assert text == json.dumps(doc, indent=2)
+            written.append(doc["command"])
+            return text
+
+        writer = cli._dumps
+        monkeypatch.setattr(cli, "_dumps", checked)
+        rng = random.Random(48)
+        spec48 = ";".join(
+            "".join(str(rng.getrandbits(1)) if j > i else "0" for j in range(48))
+            for i in range(48)
+        )
+        for spec in (PAPER_SPEC, "01;00", kahler12_spec, spec48):
+            for cmd in ("check", "sw", "pmatrix", "generators", "verify"):
+                code, _, _ = run(capsys, cmd, "--matrix", spec, "--json")
+                assert code in (0, 2)
+        for extra in ([], ["--out", str(tmp_path / "r.json")]):
+            assert run(capsys, "census", "--dim", "4", *extra)[0] == 0
+        assert written.count("census") == 2
+        assert written.count("check") == 4 and written.count("verify") == 2
 
 
 def test_parser_built_once_per_process(capsys):

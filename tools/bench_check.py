@@ -9,10 +9,13 @@ Run from the repository root:
 The matrices always come from this checkout's tests/samplers.py, so two
 checkouts are timed on the same inputs: seeded Kähler matrices for check
 and verify, spin-biased ones for sw.  Each command runs in-process as
-rbott.cli.main([cmd, "--matrix", spec, "--json"]) with stdout discarded.
-A matrix's time is the best of --repeats runs; the entry holds, per
-command and n, the median over --matrices matrices, in milliseconds.
-The matrices are drawn with seed SEED.
+rbott.cli.main([cmd, "--matrix", spec, "--json"]) with stdout discarded;
+every timed call must exit 0, so a refusal is never timed as a result.
+sw and verify are not timed above the checkout's cli.REFEREE_MAX_N,
+which they refuse; check is timed at every size.  A matrix's time is
+the best of --repeats runs; the entry holds, per command and n, the
+median over --matrices matrices, in milliseconds.  The matrices are
+drawn with seed SEED.
 
 Every entry carries what is needed to reproduce it: the commit of the
 timed checkout (and whether its src/ differs from that commit), the
@@ -69,8 +72,10 @@ def _time_ms(main, argv: list[str], repeats: int) -> float:
     for _ in range(repeats):
         with contextlib.redirect_stdout(io.StringIO()):
             start = time.perf_counter()
-            main(argv)
+            code = main(argv)
             best = min(best, time.perf_counter() - start)
+        if code != 0:
+            raise SystemExit(f"{argv[0]} at n = {argv[2].count(';') + 1} exited {code}")
     return best * 1e3
 
 
@@ -84,6 +89,8 @@ def measure(repo: Path, sizes: list[int], matrices: int, repeats: int) -> dict:
     probe_before = _probe_s()
     for n in sizes:
         for cmd, sampler in COMMANDS.items():
+            if cmd != "check" and n > cli.REFEREE_MAX_N:
+                continue
             rng = random.Random(SEED * 1000 + n)
             times = []
             for _ in range(matrices):
@@ -111,7 +118,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", type=Path, default=HERE, help="checkout to time")
     parser.add_argument("--label", required=True, help="name of the entry, e.g. parent")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[12, 48, 128, 256])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[12, 48, 128, 256, 512, 1024])
     parser.add_argument("--matrices", type=int, default=3)
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
