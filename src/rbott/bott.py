@@ -42,6 +42,9 @@ class DimensionMismatch(ValueError):
     pass
 
 
+_BLANKS = str.maketrans("", "", " \t")
+
+
 def _entries(mask: int, n: int) -> tuple[int, ...]:
     """The n bits of mask as 0/1 entries, bit k at position k."""
     return tuple(bit_flags(mask | 1 << n)[:n])  # bit n makes at least n flags
@@ -123,37 +126,38 @@ class BottMatrix:
         Optional first line with the dimension n, then n lines of n
         characters from {0,1}; spaces inside rows are tolerated.
         """
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        lines = [s for ln in text.splitlines() if (s := ln.strip())]
         if not lines:
             raise ValueError("empty matrix text")
+        digits = [ln.translate(_BLANKS) for ln in lines]  # spaces and tabs dropped
 
-        def parse_rows(body, expected):
-            rows = [ln.replace(" ", "").replace("\t", "") for ln in body]
-            for ln, digits in zip(body, rows):
-                if digits.strip("01"):  # some character is not 0 or 1
+        def parse_rows(start, expected):
+            rows = digits[start:]
+            for ln, row in zip(lines[start:], rows):
+                if row.strip("01"):  # some character is not 0 or 1
                     raise ValueError(f"bad matrix row: {ln!r}")
             if len(rows) != expected:
                 raise ValueError(f"header says {expected} rows, found {len(rows)}")
             masks = [int(d[::-1], 2) for d in rows]
             return _store(object.__new__(BottMatrix), expected, masks, map(len, rows))
 
-        first = lines[0].replace(" ", "").replace("\t", "")
+        first = digits[0]
         if first.strip("01"):
             # A line that is not pure 0/1 digits must be the size header.
             try:
                 expected = int(first)
             except ValueError:
                 raise ValueError(f"bad header line: {lines[0]!r}")
-            return parse_rows(lines[1:], expected)
+            return parse_rows(1, expected)
         try:
-            return parse_rows(lines, len(lines))
+            return parse_rows(0, len(lines))
         except NotStrictlyUpperTriangular:
             raise
         except ValueError:
             # Headers of all-binary digits ("1", "10", ...) are ambiguous;
             # fall back to the header reading if it is consistent.
             if first.isdigit() and int(first) == len(lines) - 1:
-                return parse_rows(lines[1:], len(lines) - 1)
+                return parse_rows(1, len(lines) - 1)
             raise
 
     @staticmethod

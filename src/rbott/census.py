@@ -23,18 +23,13 @@ import numpy as np
 from . import _kernels
 from .bott import BottMatrix
 
-# Default ceilings.  On one core of a 2-CPU VM the n = 8 oracle sweep
-# takes ~0.2 s, and at n = 9 the theorem-only sweep takes ~9 s (with
-# the oracle ~40 s).  n = 10 has 2^8 times as many orientable counter
-# values as n = 9: ~40 min theorem-only, ~3 h with the oracle.
-DEFAULT_ORACLE_CEILING = 8
-DEFAULT_THEOREM_CEILING = 9
 MISMATCH_CAP = 100
 
-# No ceiling goes past this: n = 12 has 2^55 orientable counter values,
-# about 38 years at n = 9's ~33 ns per matrix theorem-only (~160 years
-# at ~140 ns with the oracle), and the cost per matrix grows with n.
-MAX_DIM = 11
+# The one bound on every census route.  On one core of a 2-CPU VM the
+# n = 9 sweep takes ~7 s theorem-only and ~33 s with the oracle; n = 10
+# has 2^8 times as many orientable counter values (~30 min theorem-only,
+# ~2.3 h with the oracle).
+MAX_DIM = 9
 
 
 class DimensionTooLarge(ValueError):
@@ -61,14 +56,10 @@ def index_of(A: BottMatrix) -> int:
     return sum((m >> (i + 1)) << _offset(A.n, i) for i, m in enumerate(A.row_masks))
 
 
-def enumerate_bott(
-    n: int, ceiling: int = DEFAULT_THEOREM_CEILING
-) -> Iterator[BottMatrix]:
-    """Yield every strictly upper triangular n x n matrix over F2 once."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if n > ceiling:
-        raise DimensionTooLarge(f"n={n} exceeds ceiling {ceiling}")
+def enumerate_bott(n: int) -> Iterator[BottMatrix]:
+    """Yield every strictly upper triangular n x n matrix over F2 once;
+    check_request refuses n before the first one."""
+    check_request(n)
     for idx in range(1 << free_bit_count(n)):
         yield matrix_from_index(n, idx)
 
@@ -90,16 +81,12 @@ def partition_space(n: int, workers: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def check_request(
-    n: int, oracle: bool = True, workers: int = 1, ceiling: int | None = None
-) -> None:
+def check_request(n: int, workers: int = 1) -> None:
     """Refuse a census that run_census would refuse, before any work.
 
     ValueError for n < 1 or workers < 1; DimensionTooLarge when n
-    exceeds MAX_DIM (whatever the ceiling) or the ceiling.
+    exceeds MAX_DIM.
     """
-    if ceiling is None:
-        ceiling = DEFAULT_ORACLE_CEILING if oracle else DEFAULT_THEOREM_CEILING
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if workers < 1:
@@ -109,8 +96,6 @@ def check_request(
             f"n={n} has 2^{free_bit_count(n)} matrices; the census counter "
             f"is limited to n <= {MAX_DIM}"
         )
-    if n > ceiling:
-        raise DimensionTooLarge(f"n={n} exceeds ceiling {ceiling}")
 
 
 @dataclass
@@ -136,12 +121,7 @@ class CensusReport:
         return asdict(self)
 
 
-def run_census(
-    n: int,
-    oracle: bool = True,
-    workers: int = 1,
-    ceiling: int | None = None,
-) -> CensusReport:
+def run_census(n: int, oracle: bool = True, workers: int = 1) -> CensusReport:
     """Classify every n x n Bott matrix; cross-validate theorem vs oracle.
 
     Deterministic: counts and mismatch lists do not depend on the
@@ -149,7 +129,7 @@ def run_census(
     matrices are kept verbatim (capped at MISMATCH_CAP with a truncation
     flag).  Requests that check_request refuses raise before any work.
     """
-    check_request(n, oracle, workers, ceiling)
+    check_request(n, workers)
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
 

@@ -267,12 +267,9 @@ def _render_generators(doc: dict) -> list[str]:
 
 
 def cmd_census(args) -> int:
-    request = dict(
-        n=args.dim, oracle=not args.no_oracle, workers=args.workers, ceiling=args.ceiling
-    )
     # a refused request must not create --out; ValueError covers DimensionTooLarge
     try:
-        census_mod.check_request(**request)
+        census_mod.check_request(args.dim, args.workers)
     except ValueError as exc:
         raise InputError(str(exc))
     # open --out before the sweep; mode "a" keeps an existing file as it
@@ -282,7 +279,7 @@ def cmd_census(args) -> int:
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc}")
     with out or contextlib.nullcontext():
-        report = census_mod.run_census(**request)
+        report = census_mod.run_census(args.dim, oracle=not args.no_oracle, workers=args.workers)
         document = {"schema_version": SCHEMA_VERSION, "command": "census", **report.to_dict()}
         payload = _dumps(document)
         if out:
@@ -395,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-oracle", action="store_true", help="skip the cohomological oracle")
-    p.add_argument("--ceiling", type=int, default=None, help="override the dimension ceiling")
     p.add_argument("--out", help="write the report to a file instead of stdout")
     p.set_defaults(func=cmd_census)
 

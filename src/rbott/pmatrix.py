@@ -291,14 +291,11 @@ def ideal_deg2(data: SWData) -> F2RowSpace:
     return F2RowSpace([deg2_to_vector(t, data.d) for t in data.thetas], data.d)
 
 
-def w2_in_ideal(data: SWData) -> bool:
-    """w2 lies in the degree-2 span of the theta_j."""
-    return row_space_membership(ideal_deg2(data), deg2_to_vector(data.w2, data.d))
-
-
 def is_spin(data: SWData) -> bool:
     """Cohomological spin test: w1 = 0 and w2 lies in the degree-2 ideal span."""
-    return data.w1.is_zero() and w2_in_ideal(data)
+    return data.w1.is_zero() and row_space_membership(
+        ideal_deg2(data), deg2_to_vector(data.w2, data.d)
+    )
 
 
 def characteristic_ideal_deg2(E: PMatrix) -> F2RowSpace:

@@ -67,3 +67,13 @@ def shard_log(monkeypatch):
 
     monkeypatch.setattr(_kernels, "census_range", logged)
     return ranges
+
+
+@pytest.fixture()
+def no_kernel(monkeypatch):
+    """Fail any census that reaches the kernel: a refusal must come before it."""
+
+    def no_work(*args):
+        raise AssertionError("kernel started")
+
+    monkeypatch.setattr(_kernels, "census_range", no_work)

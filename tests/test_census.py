@@ -10,6 +10,7 @@ from rbott.census import (
     MISMATCH_CAP,
     CensusReport,
     DimensionTooLarge,
+    check_request,
     enumerate_bott,
     free_bit_count,
     index_of,
@@ -43,10 +44,13 @@ class TestEnumeration:
         assert A.rows == ((0, 0, 0), (0, 0, 1), (0, 0, 0))
 
     def test_ceiling(self):
-        with pytest.raises(DimensionTooLarge):
-            next(enumerate_bott(13))
-        with pytest.raises(ValueError):
-            next(enumerate_bott(0))
+        # enumerate_bott refuses through check_request, with its messages
+        for n in (0, 10, 12):
+            with pytest.raises(ValueError) as direct:
+                check_request(n)
+            with pytest.raises(type(direct.value)) as refused:
+                next(enumerate_bott(n))
+            assert str(refused.value) == str(direct.value)
 
 
 class TestPartition:
@@ -154,14 +158,10 @@ class TestCensusCounts:
         assert report.spin_by_oracle_all_count is None
         assert report.mismatch_count == 0
 
-    def test_ceiling_enforced(self):
-        with pytest.raises(DimensionTooLarge):
-            run_census(9)
-        with pytest.raises(DimensionTooLarge):
-            run_census(13, oracle=False)
-        # explicit ceiling override is honored
-        report = run_census(4, ceiling=4)
-        assert report.total == 64
+    def test_ceiling_enforced(self, no_kernel):
+        for n, oracle in itertools.product((10, 11, 12), (True, False)):
+            with pytest.raises(DimensionTooLarge):
+                run_census(n, oracle=oracle)
 
 
 class TestDeterminism:
@@ -381,25 +381,25 @@ class TestMismatchPath:
 
 
 class TestBoundedWork:
-    def test_counter_limit_overrides_ceiling(self, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("kernel started")
+    def test_refusal_names_the_counter_size(self, no_kernel):
+        for (n, bits), oracle in itertools.product(((10, 45), (11, 55), (12, 66)), (True, False)):
+            with pytest.raises(DimensionTooLarge) as refused:
+                run_census(n, oracle=oracle)
+            assert str(refused.value) == (
+                f"n={n} has 2^{bits} matrices; the census counter is limited to n <= 9"
+            )
 
-        monkeypatch.setattr(_kernels, "census_range", no_work)
-        for kwargs in ({"oracle": False}, {"oracle": False, "ceiling": 99}, {"ceiling": 99}):
-            with pytest.raises(DimensionTooLarge):
-                run_census(12, **kwargs)
-
-    def test_theorem_only_ceiling_refuses_n10(self, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("kernel started")
-
-        monkeypatch.setattr(_kernels, "census_range", no_work)
-        assert census.DEFAULT_THEOREM_CEILING == 9
+    def test_check_request_is_the_one_bound(self):
+        # n = 9 passes in both modes, so no mode has a lower bound of its own
+        assert census.MAX_DIM == 9
+        assert check_request(9) is None
+        assert check_request(9, workers=2) is None
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            check_request(0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            check_request(2, workers=0)
         with pytest.raises(DimensionTooLarge):
-            run_census(10, oracle=False)
-        with pytest.raises(DimensionTooLarge):
-            run_census(11, oracle=False)
+            check_request(10)
 
     def test_workers_capped_at_cpu_count(self, monkeypatch, shard_log):
         pools = []

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbott import _kernels, bott, cli, pmatrix
+from rbott import bott, cli, pmatrix
 from rbott.bott import BottMatrix, is_kahler
 from rbott.f2poly import F2RowSpace
 
@@ -129,7 +129,52 @@ class TestInputErrors:
 FUZZ_ALPHABET = "012+-; \t\n\r\u2028\u00b2\u0663"
 
 
-def _fuzz_main(argv):
+def _reference_from_text(text):
+    """BottMatrix.from_text as it normalised lines before its single pass (two strips
+    per line, two replaces per row): the reference for what the parser accepts and says."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty matrix text")
+
+    def parse_rows(body, expected):
+        rows = [ln.replace(" ", "").replace("\t", "") for ln in body]
+        for ln, digits in zip(body, rows):
+            if digits.strip("01"):
+                raise ValueError(f"bad matrix row: {ln!r}")
+        if len(rows) != expected:
+            raise ValueError(f"header says {expected} rows, found {len(rows)}")
+        masks = [int(d[::-1], 2) for d in rows]
+        return bott._store(object.__new__(BottMatrix), expected, masks, map(len, rows))
+
+    first = lines[0].replace(" ", "").replace("\t", "")
+    if first.strip("01"):
+        try:
+            expected = int(first)
+        except ValueError:
+            raise ValueError(f"bad header line: {lines[0]!r}")
+        return parse_rows(lines[1:], expected)
+    try:
+        return parse_rows(lines, len(lines))
+    except bott.NotStrictlyUpperTriangular:
+        raise
+    except ValueError:
+        if first.isdigit() and int(first) == len(lines) - 1:
+            return parse_rows(lines[1:], len(lines) - 1)
+        raise
+
+
+def _reference_error(source, text):
+    """The stderr of cli._load_matrix on text, by the reference parser."""
+    try:
+        _reference_from_text(text)
+    except bott.NotStrictlyUpperTriangular as exc:
+        return f"error: {source}: not strictly upper triangular at ({exc.i},{exc.j})\n"
+    except ValueError as exc:
+        return f"error: {source}: {exc}\n"
+    return ""
+
+
+def _fuzz_main(argv, source, text):
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -140,6 +185,7 @@ def _fuzz_main(argv):
         return
     assert code in (0, 2, 3)
     assert (stdout.getvalue() == "") == (code == 2)
+    assert stderr.getvalue() == _reference_error(source, text)
 
 
 @given(st.text(FUZZ_ALPHABET, max_size=30))
@@ -152,11 +198,11 @@ def test_row_check_matches_set_test(text):
 @settings(max_examples=150, deadline=None)
 @given(st.text(FUZZ_ALPHABET, max_size=30))
 def test_fuzz_matrix_text(text):
-    _fuzz_main(["check", "--matrix", text])
+    _fuzz_main(["check", "--matrix", text], "--matrix", text.replace(";", "\n"))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.txt"
         path.write_text(text, encoding="utf-8")
-        _fuzz_main(["check", str(path)])
+        _fuzz_main(["check", str(path)], str(path), path.read_text())
 
 
 class TestSw:
@@ -231,12 +277,8 @@ class TestCensusCommand:
         assert out == ""
         assert json.loads(target.read_text())["total"] == 2
 
-    def test_out_file_unwritable(self, capsys, tmp_path, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("kernel started")
-
+    def test_out_file_unwritable(self, capsys, tmp_path, no_kernel):
         # refused before the sweep starts
-        monkeypatch.setattr(_kernels, "census_range", no_work)
         target = tmp_path / "missing" / "r.json"
         code, out, err = run(capsys, "census", "--dim", "2", "--out", str(target))
         assert code == 2
@@ -254,39 +296,57 @@ class TestCensusCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--dim", "12"], ["--dim", "0"], ["--dim", "9"], ["--dim", "2", "--workers", "0"]],
+        [
+            ["--dim", "12"],
+            ["--dim", "0"],
+            ["--dim", "10"],
+            ["--dim", "2", "--workers", "0"],
+            ["--dim", "11", "--no-oracle"],
+        ],
     )
-    def test_refused_request_creates_no_out_file(self, capsys, tmp_path, argv):
+    def test_refused_request_creates_no_out_file(self, capsys, tmp_path, no_kernel, argv):
         target = tmp_path / "new.json"
         code, out, err = run(capsys, "census", *argv, "--out", str(target))
         assert code == 2
         assert out == "" and err.startswith("error:")
         assert not target.exists()
 
-    def test_refused_dimension_keeps_out_file(self, capsys, tmp_path):
+    def test_refused_dimension_keeps_out_file(self, capsys, tmp_path, no_kernel):
         target = tmp_path / "r.json"
         target.write_text("earlier report\n")
-        code, out, err = run(capsys, "census", "--dim", "12", "--out", str(target))
+        code, out, err = run(capsys, "census", "--dim", "10", "--out", str(target))
         assert code == 2
-        assert "n <= 11" in err
+        assert "n <= 9" in err
         assert target.read_text() == "earlier report\n"
 
-    def test_over_ceiling(self, capsys):
-        code, _, err = run(capsys, "census", "--dim", "9")
+    def test_over_ceiling(self, capsys, no_kernel):
+        code, out, err = run(capsys, "census", "--dim", "10")
         assert code == 2
+        assert out == ""
+        assert err == (
+            "error: n=10 has 2^45 matrices; the census counter is limited to n <= 9\n"
+        )
 
-    def test_theorem_only_over_ceiling(self, capsys):
+    def test_theorem_only_over_ceiling(self, capsys, no_kernel):
         code, out, err = run(capsys, "census", "--dim", "10", "--no-oracle")
         assert code == 2
         assert out == ""
-        assert "ceiling" in err
+        assert "n <= 9" in err
 
-    @pytest.mark.parametrize("extra", [[], ["--ceiling", "99"]])
-    def test_counter_overflow_rejected(self, capsys, extra):
-        code, out, err = run(capsys, "census", "--dim", "12", "--no-oracle", *extra)
+    @pytest.mark.parametrize("extra", [[], ["--no-oracle"]])
+    def test_counter_overflow_rejected(self, capsys, no_kernel, extra):
+        code, out, err = run(capsys, "census", "--dim", "12", *extra)
         assert code == 2
         assert out == ""
-        assert "n <= 11" in err
+        assert "2^66" in err and "n <= 9" in err
+
+    def test_ceiling_flag_is_gone(self, capsys, tmp_path, no_kernel):
+        target = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["census", "--dim", "4", "--ceiling", "5", "--out", str(target)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ceiling 5" in capsys.readouterr().err
+        assert not target.exists()
 
 
 class TestVerify:
@@ -518,6 +578,7 @@ def _parse_outcome(parse, argv):
         ["census", "--dim", "x"],
         ["census", "--dim", "4", "--no-oracle", "--workers", "2"],
         ["census", "--di", "4", "--out", "r.json"],
+        ["census", "--dim", "4", "--ceiling", "5"],
     ],
 )
 def test_dispatch_matches_full_parser(argv):

@@ -28,7 +28,6 @@ from rbott.pmatrix import (
     pentry_add,
     sw_data,
     total_sw_class,
-    w2_in_ideal,
 )
 
 X1 = F2Polynomial.var(1)
@@ -330,7 +329,8 @@ class TestSpinOracle:
     def test_klein_fails_on_orientability_only(self):
         assert not admits_spin_oracle(KLEIN)
         # w2 = 0 is trivially in the ideal; the bare membership test passes
-        assert w2_in_ideal(sw_data(KLEIN))
+        data = sw_data(KLEIN)
+        assert ideal_deg2(data).contains(deg2_to_vector(data.w2, data.d))
 
     def test_orientability_needs_only_w1(self, monkeypatch):
         rng = random.Random(29)

@@ -67,6 +67,20 @@ def _probe_s() -> float:
     return round(min(probe() for _ in range(PROBES)), 5)
 
 
+def metadata(repo: Path) -> dict:
+    """The fields every entry carries to be reproduced."""
+    import numpy
+
+    return {
+        "commit": _git(repo, "rev-parse", "HEAD"),
+        "src_modified": bool(_git(repo, "status", "--porcelain", "--", "src")),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpus": os.cpu_count(),
+        "kernel": platform.release(),
+    }
+
+
 def _time_ms(main, argv: list[str], repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -81,7 +95,6 @@ def _time_ms(main, argv: list[str], repeats: int) -> float:
 
 def measure(repo: Path, sizes: list[int], matrices: int, repeats: int) -> dict:
     sys.path[:0] = [str(repo / "src"), str(HERE / "tests")]
-    import numpy
     import samplers
     from rbott import cli
 
@@ -99,12 +112,7 @@ def measure(repo: Path, sizes: list[int], matrices: int, repeats: int) -> dict:
             ms[cmd][str(n)] = round(statistics.median(times), 3)
     probe_after = _probe_s()
     return {
-        "commit": _git(repo, "rev-parse", "HEAD"),
-        "src_modified": bool(_git(repo, "status", "--porcelain", "--", "src")),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "cpus": os.cpu_count(),
-        "kernel": platform.release(),
+        **metadata(repo),
         "sizes": sizes,
         "matrices_per_n": matrices,
         "repeats": repeats,
