@@ -126,16 +126,20 @@ class BottMatrix:
         Optional first line with the dimension n, then n lines of n
         characters from {0,1}; spaces inside rows are tolerated.
         """
-        lines = [s for ln in text.splitlines() if (s := ln.strip())]
-        if not lines:
+        digits = [s for ln in text.translate(_BLANKS).splitlines() if (s := ln.strip())]
+        if not digits:
             raise ValueError("empty matrix text")
-        digits = [ln.translate(_BLANKS) for ln in lines]  # spaces and tabs dropped
+
+        def line(k):
+            # Dropping spaces and tabs keeps every line break and leaves blank
+            # lines blank, so digits[k] comes from the k-th non-blank line.
+            return [s for ln in text.splitlines() if (s := ln.strip())][k]
 
         def parse_rows(start, expected):
             rows = digits[start:]
-            for ln, row in zip(lines[start:], rows):
+            for k, row in enumerate(rows, start):
                 if row.strip("01"):  # some character is not 0 or 1
-                    raise ValueError(f"bad matrix row: {ln!r}")
+                    raise ValueError(f"bad matrix row: {line(k)!r}")
             if len(rows) != expected:
                 raise ValueError(f"header says {expected} rows, found {len(rows)}")
             masks = [int(d[::-1], 2) for d in rows]
@@ -147,17 +151,17 @@ class BottMatrix:
             try:
                 expected = int(first)
             except ValueError:
-                raise ValueError(f"bad header line: {lines[0]!r}")
+                raise ValueError(f"bad header line: {line(0)!r}")
             return parse_rows(1, expected)
         try:
-            return parse_rows(0, len(lines))
+            return parse_rows(0, len(digits))
         except NotStrictlyUpperTriangular:
             raise
         except ValueError:
             # Headers of all-binary digits ("1", "10", ...) are ambiguous;
             # fall back to the header reading if it is consistent.
-            if first.isdigit() and int(first) == len(lines) - 1:
-                return parse_rows(1, len(lines) - 1)
+            if first.isdigit() and int(first) == len(digits) - 1:
+                return parse_rows(1, len(digits) - 1)
             raise
 
     @staticmethod
