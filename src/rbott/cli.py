@@ -33,7 +33,9 @@ import sys
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 from . import bott, census as census_mod, pmatrix as pmx
-from .f2poly import deg2_to_vector
+# deg2_to_vector is not called here, but perfbench's tracer wraps it in
+# this namespace by name (perfbench/tracing.py), so it stays imported
+from .f2poly import deg2_text, deg2_to_vector, linear_text  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -100,11 +102,20 @@ def _level(depth: int):
     return encoder, newline
 
 
+def _flat_dicts(items) -> bool:
+    """True when items are nonempty dicts whose values are all scalars."""
+    return all(type(item) is dict and item for item in items) and {
+        type(v) for item in items for v in item.values()
+    } <= _SCALARS
+
+
 def _indented(obj, depth: int) -> str:
     """json.dumps(obj, indent=2) of a list, tuple or dict whose brackets sit at depth.
 
     A container that holds no container is one call of the C encoder, its
-    item separator carrying the newline and indent.  Otherwise each
+    item separator carrying the newline and indent.  So is a list of
+    nonempty dicts that hold no container, at the dicts' depth, with the
+    separators between the dicts widened afterwards.  Otherwise each
     nested container stands in as 0 for that call; no encoded key or
     scalar holds a raw newline, so splitting the text on the separator
     gives the items, and each 0 is replaced by its container's text.
@@ -116,6 +127,16 @@ def _indented(obj, depth: int) -> str:
     values = obj.values() if is_dict else obj
     if set(map(type, values)) <= _SCALARS:
         body = "".join(encode(obj, 0))[1:-1]
+    elif not is_dict and _flat_dicts(obj):
+        # One call whose separator is the one inside the dicts.  No scalar's
+        # text ends in "}" and every key's starts with a quote, so "}" +
+        # separator + "{" occurs exactly between two dicts.
+        inner, inner_newline = _level(depth + 2)
+        items = "".join(inner(obj, 0))[2:-2]  # inside the outer "[{" and "}]"
+        items = items.replace(
+            "}," + inner_newline + "{", newline + "}," + newline + "{" + inner_newline
+        )
+        body = "{" + inner_newline + items + newline + "}"
     else:
         values = list(values)
         nested = [i for i, v in enumerate(values) if isinstance(v, _CONTAINERS)]
@@ -194,15 +215,21 @@ def _render_check(doc: dict) -> list[str]:
 def cmd_sw(args) -> int:
     A = _load_referee_matrix(args)
     data = pmx.sw_data(bott.to_pmatrix(A))
+    d = data.d
     document = {
         "command": "sw",
         "dimension": A.n,
         "classes": [
-            {"j": j, "alpha": str(a), "beta": str(b), "theta": str(t)}
-            for j, (a, b, t) in enumerate(zip(data.alphas, data.betas, data.thetas), start=1)
+            {
+                "j": j,
+                "alpha": linear_text(beta ^ c, d),
+                "beta": linear_text(beta, d),
+                "theta": deg2_text(t, d),
+            }
+            for j, ((beta, c), t) in enumerate(zip(data.masks, data.thetas), start=1)
         ],
-        "w1": str(data.w1),
-        "w2": str(data.w2),
+        "w1": linear_text(data.w1_mask, d),
+        "w2": str(data.w2_vector),
         "ideal_deg2_rank": pmx.ideal_deg2(data).dimension,
     }
     _emit(args, document, _render_sw)
@@ -308,24 +335,24 @@ def cmd_verify(args) -> int:
     except bott.NotKahler:
         raise InputError("matrix is not Kähler; verify needs a column pairing")
     data = pmx.sw_data(bott.to_pmatrix(A))
-    w2 = str(data.w2)
-    w2_vec = deg2_to_vector(data.w2, data.d)
+    w2_vec = data.w2_vector
+    w2 = str(w2_vec)
     trace = pmx.ideal_deg2(data).reduction_trace(w2_vec)
     steps = [
-        {"subtracted": str(basis_vec.to_poly()), "remainder": str(remainder.to_poly())}
+        {"subtracted": str(basis_vec), "remainder": str(remainder)}
         for basis_vec, remainder in trace
     ]
     # w2 reduces to the last remainder, or stays as it is when no pivot meets it
     residual = trace[-1][1] if trace else w2_vec
     theorem = bott.spin_main_theorem_on(A, reduced)
-    oracle = data.w1.is_zero() and residual.is_zero()
+    oracle = data.w1_mask == 0 and residual.is_zero()
     document = {
         "command": "verify",
         "dimension": A.n,
         "reduced_row_sums": list(reduced.row_sums),
         "odd_rows": [i for i, s in enumerate(reduced.row_sums, start=1) if s],
         "w2": w2,
-        "thetas": [str(t) for t in data.thetas],
+        "thetas": [deg2_text(t, data.d) for t in data.thetas],
         "reduction_steps": steps,
         "residual": steps[-1]["remainder"] if steps else w2,
         "spin_theorem": theorem,

@@ -18,6 +18,12 @@ first differ, the smaller index a either repeats the previous index
 ended) or starts a new variable a that the other tuple skips in favour
 of a less significant one.  Either way the first tuple comes first in
 graded lex.
+
+Classes of degree 1 and 2 also print from their bit forms, byte for byte
+as str of the polynomial: linear_text from a mask of the d variables,
+str of a Deg2Vector, and deg2_text from a degree-2 polynomial's
+positions in the Deg2Vector layout (see _texts for why table order is
+graded lex order).
 """
 
 from __future__ import annotations
@@ -85,10 +91,6 @@ class Monomial(tuple):
 
 
 ONE_MONOMIAL = Monomial(())
-
-# the text of a monomial, memoised with a bound: polynomials of one
-# matrix print the same few monomials many times over
-_monomial_text = functools.lru_cache(maxsize=1 << 16)(Monomial.__str__)
 
 
 def _toggle(acc: set[Monomial], m: Monomial) -> None:
@@ -187,7 +189,7 @@ class F2Polynomial:
         # Graded lex, x1 most significant: ascending tuple order within
         # each degree (see the module docstring), kept by the stable sort.
         ordered = sorted(sorted(self.terms), key=len)
-        return " + ".join(map(_monomial_text, ordered))
+        return " + ".join(map(str, ordered))
 
 
 def deg2_length(d: int) -> int:
@@ -230,6 +232,46 @@ def _deg2_table(d: int) -> tuple[tuple[Monomial, ...], dict[Monomial, int]]:
     return monomials, {m: pos for pos, m in enumerate(monomials)}
 
 
+@functools.lru_cache(maxsize=16)
+def _texts(d: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The texts of x_1, ..., x_d, and of the x_i*x_j in pair_index order.
+
+    Printing from bits reads these in table order, which is graded lex
+    order: a linear mask lists x_1, ..., x_d ascending, and pair_index
+    order is ascending (i, j) tuple order, which within degree 2 is
+    graded lex order (module docstring).  Built apart from _deg2_table,
+    on first print.
+    """
+    linear = tuple(f"x{i}" for i in range(1, d + 1))
+    deg2 = tuple(
+        f"{x}^2" if i == j else f"{x}*{linear[j]}"
+        for i, x in enumerate(linear)
+        for j in range(i, d)
+    )
+    return linear, deg2
+
+
+def linear_text(mask: int, d: int) -> str:
+    """str of the sum of the x_{k+1} over the set bits k of mask, below 2^d."""
+    return " + ".join(compress(_texts(d)[0], bit_flags(mask))) or "0"
+
+
+def deg2_text(p: F2Polynomial, d: int) -> str:
+    """str(p) of a homogeneous degree-2 polynomial (or zero) in x_1, ..., x_d.
+
+    Sorts the terms' table positions as ints: position order is graded
+    lex order (see _texts), and ints sort faster than Monomials.  A term
+    off the table raises what deg2_to_vector raises for it.
+    """
+    _, positions = _deg2_table(d)
+    try:
+        ordered = sorted([positions[m] for m in p.terms])
+    except KeyError:
+        deg2_to_vector(p, d)  # raises, naming the term off the table
+        raise
+    return " + ".join(map(_texts(d)[1].__getitem__, ordered)) or "0"
+
+
 def index_pair(pos: int, d: int) -> tuple[int, int]:
     """Inverse of pair_index."""
     for i in range(1, d + 1):
@@ -263,10 +305,18 @@ class Deg2Vector:
         return Deg2Vector(self.bits ^ other.bits, self.d)
 
     def to_poly(self) -> F2Polynomial:
-        if self.bits >> self.length:
-            raise ValueError(f"position out of range for d={self.d}")
+        self._check_layout()
         monomials, _ = _deg2_table(self.d)
         return F2Polynomial(frozenset(compress(monomials, bit_flags(self.bits))))
+
+    def __str__(self) -> str:
+        """str(self.to_poly()), read from the bits in table order (see _texts)."""
+        self._check_layout()
+        return " + ".join(compress(_texts(self.d)[1], bit_flags(self.bits))) or "0"
+
+    def _check_layout(self) -> None:
+        if self.bits >> self.length:
+            raise ValueError(f"position out of range for d={self.d}")
 
 
 def deg2_to_vector(p: F2Polynomial, d: int) -> Deg2Vector:

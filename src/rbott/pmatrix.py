@@ -15,8 +15,8 @@ are views for printing and for the reference class_*_j.
 sw_data is the generic referee that the closed-form spin criterion and
 the census kernel are tested against.  It carries the linear classes as
 bitmasks of the d variables while it expands w2 (see its docstring) and
-hands back F2Polynomials; it imports nothing from rbott.bott or the
-census kernel.
+hands back F2Polynomials along with those masks and w2's vector; it
+imports nothing from rbott.bott or the census kernel.
 """
 
 from __future__ import annotations
@@ -206,15 +206,25 @@ class SWData:
     """Degree <= 2 Stiefel-Whitney data of the quotient manifold.
 
     The classes live in F2[x1, ..., xd]; alphas[j - 1], betas[j - 1] and
-    thetas[j - 1] belong to column j.
+    thetas[j - 1] belong to column j.  The bit forms sw_data computes
+    come along: masks[j - 1] is (beta_j, c_j) as d-bit masks, bit a the
+    coefficient of x_{a+1}, with alpha_j = beta_j xor c_j; w1_mask is
+    w1 as such a mask and w2_vector is w2.  w2 is built from w2_vector
+    on first use.
     """
 
     d: int
     alphas: tuple[F2Polynomial, ...]
     betas: tuple[F2Polynomial, ...]
     w1: F2Polynomial
-    w2: F2Polynomial
     thetas: tuple[F2Polynomial, ...]
+    masks: tuple[tuple[int, int], ...]
+    w1_mask: int
+    w2_vector: Deg2Vector
+
+    @functools.cached_property
+    def w2(self) -> F2Polynomial:
+        return self.w2_vector.to_poly()
 
 
 def sw_data(E: PMatrix) -> SWData:
@@ -236,7 +246,7 @@ def sw_data(E: PMatrix) -> SWData:
     of x_{a+1} x_{b+1} (a < b) is S[a][b] + S[b][a], which is bit b of
     S[a] xor T[a]; that of x_{a+1}^2 is bit a of S[a].  Row a of these
     coefficients, from x_{a+1}^2 on, is row a of the row-major Deg2Vector
-    layout, so w2 is read from one vector.
+    layout, so w2 is written as one vector.
 
     This is the product itself, term by term, on any d x n P-matrix:
     masks only replace sets of monomials.  It uses no row weights and
@@ -246,7 +256,7 @@ def sw_data(E: PMatrix) -> SWData:
     """
     d = E.d
     full = (1 << d) - 1
-    masks = [(t & full, t >> d) for t in transpose(E.low + E.high, E.n)]
+    masks = tuple((t & full, t >> d) for t in transpose(E.low + E.high, E.n))
     S = [0] * d
     T = [0] * d
     prefix = 0
@@ -270,8 +280,10 @@ def sw_data(E: PMatrix) -> SWData:
         alphas=alphas,
         betas=betas,
         w1=_linear_poly(prefix, d),
-        w2=Deg2Vector(w2, d).to_poly(),
         thetas=tuple(a * b for a, b in zip(alphas, betas)),
+        masks=masks,
+        w1_mask=prefix,
+        w2_vector=Deg2Vector(w2, d),
     )
 
 
@@ -293,9 +305,7 @@ def ideal_deg2(data: SWData) -> F2RowSpace:
 
 def is_spin(data: SWData) -> bool:
     """Cohomological spin test: w1 = 0 and w2 lies in the degree-2 ideal span."""
-    return data.w1.is_zero() and row_space_membership(
-        ideal_deg2(data), deg2_to_vector(data.w2, data.d)
-    )
+    return data.w1_mask == 0 and row_space_membership(ideal_deg2(data), data.w2_vector)
 
 
 def characteristic_ideal_deg2(E: PMatrix) -> F2RowSpace:

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import samplers
 from rbott import bott, cli, pmatrix
 from rbott.bott import BottMatrix, is_kahler
-from rbott.f2poly import F2RowSpace
+from rbott.f2poly import Deg2Vector, F2Polynomial, F2RowSpace
 
 PAPER_SPEC = "001111;001111;000011;000011;000000;000000"
 
@@ -600,8 +601,14 @@ JSON_SCALARS = (
     | st.text()
 )
 JSON_KEYS = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+# strings made of the characters the encoder's output is framed by
+BRACE_TEXT = st.text(alphabet='{}[],:" \n\\aé\u2028', max_size=8)
+# lists of dicts holding only scalars, as sw's classes and verify's steps
+FLAT_DICT_LISTS = st.lists(
+    st.dictionaries(JSON_KEYS | BRACE_TEXT, JSON_SCALARS | BRACE_TEXT, max_size=4), max_size=4
+)
 JSON_DOCS = st.recursive(
-    JSON_SCALARS,
+    JSON_SCALARS | FLAT_DICT_LISTS,
     lambda kids: st.lists(kids, max_size=4)
     | st.lists(kids, max_size=3).map(tuple)
     | st.dictionaries(JSON_KEYS, kids, max_size=4),
@@ -657,6 +664,26 @@ class TestJsonWriter:
             assert run(capsys, "census", "--dim", "4", *extra)[0] == 0
         assert written.count("census") == 2
         assert written.count("check") == 4 and written.count("verify") == 2
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("command", ["sw", "verify"])
+def test_referee_routes_print_from_bits(capsys, monkeypatch, command, json_flag):
+    # sw and verify print every class from masks and vectors; the
+    # polynomial printer and the vector-to-polynomial step must not run
+    def refuse(*args):
+        raise AssertionError("printed through a polynomial")
+
+    monkeypatch.setattr(F2Polynomial, "__str__", refuse)
+    monkeypatch.setattr(Deg2Vector, "to_poly", refuse)
+    # a matrix whose w2 meets seven basis pivots, so verify prints steps
+    kahler48 = ";".join(
+        f"{row:048b}"[::-1] for row in samplers.kahler_rows(48, random.Random(57))
+    )
+    for spec in (PAPER_SPEC, kahler48):
+        code, out, _ = run(capsys, command, "--matrix", spec, *json_flag)
+        assert code == 0 and out
+    assert command == "sw" or "remainder" in out
 
 
 def test_parser_built_once_per_process(capsys):

@@ -16,8 +16,10 @@ from rbott.f2poly import (
     NotHomogeneousDegree2,
     VariableOutOfRange,
     deg2_length,
+    deg2_text,
     deg2_to_vector,
     index_pair,
+    linear_text,
     pair_index,
     row_space_membership,
     transpose,
@@ -248,6 +250,63 @@ class TestDeg2Vector:
             with pytest.raises(error) as raised:
                 deg2_to_vector(p, 4)
             assert str(raised.value) == message
+
+
+TEXT_DS = [1, 2, 3, 7, 48, 128]
+
+
+def _bit_cases(width, rng):
+    """Empty, single-bit, all-ones and random masks of the given width."""
+    return [0, 1, 1 << (width - 1), 1 << (width // 2), (1 << width) - 1] + [
+        rng.getrandbits(width) for _ in range(4)
+    ]
+
+
+class TestTextFromBits:
+    """Text printed from masks and vectors is byte for byte str of the polynomial."""
+
+    @pytest.mark.parametrize("d", TEXT_DS)
+    def test_linear_mask(self, d):
+        rng = random.Random(f"linear-text-{d}")
+        for mask in _bit_cases(d, rng):
+            p = F2Polynomial(frozenset(Monomial((k + 1,)) for k in range(d) if mask >> k & 1))
+            assert linear_text(mask, d) == str(p)
+
+    @pytest.mark.parametrize("d", TEXT_DS)
+    def test_deg2_vector(self, d):
+        rng = random.Random(f"vector-text-{d}")
+        for bits in _bit_cases(deg2_length(d), rng):
+            v = Deg2Vector(bits, d)
+            assert str(v) == str(v.to_poly())
+
+    @pytest.mark.parametrize("d", TEXT_DS)
+    def test_deg2_polynomial(self, d):
+        rng = random.Random(f"poly-text-{d}")
+        polys = [Deg2Vector(bits, d).to_poly() for bits in _bit_cases(deg2_length(d), rng)]
+        # products of linear forms, as the theta_j are
+        for a, b in zip(_bit_cases(d, rng), reversed(_bit_cases(d, rng))):
+            factors = [
+                F2Polynomial(frozenset(Monomial((k + 1,)) for k in range(d) if m >> k & 1))
+                for m in (a, b)
+            ]
+            polys.append(factors[0] * factors[1])
+        for p in polys:
+            assert deg2_text(p, d) == str(p)
+
+    def test_vector_rejects_bits_past_the_layout(self):
+        with pytest.raises(ValueError, match="out of range"):
+            str(Deg2Vector(1 << deg2_length(3), 3))
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (X1, NotHomogeneousDegree2, "term x1 has degree 1"),
+            (X3 * F2Polynomial.var(5), VariableOutOfRange, "x5 with d=4"),
+        ],
+    )
+    def test_polynomial_off_the_table_raises_like_deg2_to_vector(self, bad, error, message):
+        with pytest.raises(error, match=message):
+            deg2_text(X1 * X2 + bad, 4)
 
 
 class TestRowSpace:

@@ -8,7 +8,7 @@ import pytest
 import samplers
 from rbott import pmatrix
 from rbott.bott import BottMatrix, to_pmatrix
-from rbott.f2poly import F2Polynomial, deg2_to_vector
+from rbott.f2poly import F2Polynomial, Monomial, deg2_to_vector
 from rbott.pmatrix import (
     ColumnOutOfRange,
     InvalidPEntry,
@@ -45,6 +45,13 @@ def random_pmatrix(rng, max_d=6, max_n=6):
 def random_pmatrix_of(rng, d, n):
     return PMatrix(
         tuple(tuple(rng.randrange(4) for _ in range(n)) for _ in range(d))
+    )
+
+
+def _linear(mask):
+    """Sum of the x_{k+1} over the set bits k of mask."""
+    return F2Polynomial(
+        frozenset(Monomial((k + 1,)) for k in range(mask.bit_length()) if mask >> k & 1)
     )
 
 
@@ -249,6 +256,30 @@ class TestSWData:
             assert data.w2 == total.homogeneous_part(2)
             assert not data.w2.is_zero()
 
+    @pytest.mark.parametrize("kind", ["generic", *sorted(samplers.SAMPLERS)])
+    def test_bit_forms_match_polynomials(self, kind):
+        # masks, w1_mask and w2_vector against the polynomial fields, and
+        # w2_vector against the truncated product itself
+        rng = random.Random(f"bit-forms-{kind}")
+        if kind == "generic":
+            shapes = [(48, 48), (1, 1), (13, 48)]
+            shapes += [(rng.randrange(1, 49), rng.randrange(1, 49)) for _ in range(6)]
+            matrices = [random_pmatrix_of(rng, d, n) for d, n in shapes]
+        else:
+            matrices = [
+                to_pmatrix(BottMatrix.from_row_masks(48, samplers.SAMPLERS[kind](48, rng)))
+                for _ in range(2)
+            ]
+        for E in matrices:
+            data = sw_data(E)
+            d = data.d
+            assert len(data.masks) == E.n
+            for (beta, c), alpha_j, beta_j in zip(data.masks, data.alphas, data.betas):
+                assert _linear(beta ^ c) == alpha_j
+                assert _linear(beta) == beta_j
+            assert _linear(data.w1_mask) == data.w1
+            assert data.w2_vector == deg2_to_vector(data.w2, d)
+            assert data.w2_vector == deg2_to_vector(total_sw_class(E, 2).homogeneous_part(2), d)
 
     def test_carries_per_column_classes(self):
         rng = random.Random(23)
