@@ -35,7 +35,7 @@ from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from . import bott, census as census_mod, pmatrix as pmx
 # deg2_to_vector is not called here, but perfbench's tracer wraps it in
 # this namespace by name (perfbench/tracing.py), so it stays imported
-from .f2poly import deg2_text, deg2_to_vector, linear_text  # noqa: F401
+from .f2poly import deg2_to_vector, linear_text  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -224,9 +224,9 @@ def cmd_sw(args) -> int:
                 "j": j,
                 "alpha": linear_text(beta ^ c, d),
                 "beta": linear_text(beta, d),
-                "theta": deg2_text(t, d),
+                "theta": str(theta),
             }
-            for j, ((beta, c), t) in enumerate(zip(data.masks, data.thetas), start=1)
+            for j, ((beta, c), theta) in enumerate(zip(data.masks, data.theta_vectors), start=1)
         ],
         "w1": linear_text(data.w1_mask, d),
         "w2": str(data.w2_vector),
@@ -335,15 +335,14 @@ def cmd_verify(args) -> int:
     except bott.NotKahler:
         raise InputError("matrix is not Kähler; verify needs a column pairing")
     data = pmx.sw_data(bott.to_pmatrix(A))
-    w2_vec = data.w2_vector
-    w2 = str(w2_vec)
-    trace = pmx.ideal_deg2(data).reduction_trace(w2_vec)
+    w2 = str(data.w2_vector)
+    trace = pmx.ideal_deg2(data).reduction_trace(data.w2_vector)
     steps = [
         {"subtracted": str(basis_vec), "remainder": str(remainder)}
         for basis_vec, remainder in trace
     ]
     # w2 reduces to the last remainder, or stays as it is when no pivot meets it
-    residual = trace[-1][1] if trace else w2_vec
+    residual = trace[-1][1] if trace else data.w2_vector
     theorem = bott.spin_main_theorem_on(A, reduced)
     oracle = data.w1_mask == 0 and residual.is_zero()
     document = {
@@ -352,7 +351,7 @@ def cmd_verify(args) -> int:
         "reduced_row_sums": list(reduced.row_sums),
         "odd_rows": [i for i, s in enumerate(reduced.row_sums, start=1) if s],
         "w2": w2,
-        "thetas": [deg2_text(t, data.d) for t in data.thetas],
+        "thetas": [str(theta) for theta in data.theta_vectors],
         "reduction_steps": steps,
         "residual": steps[-1]["remainder"] if steps else w2,
         "spin_theorem": theorem,

@@ -20,10 +20,8 @@ of a less significant one.  Either way the first tuple comes first in
 graded lex.
 
 Classes of degree 1 and 2 also print from their bit forms, byte for byte
-as str of the polynomial: linear_text from a mask of the d variables,
-str of a Deg2Vector, and deg2_text from a degree-2 polynomial's
-positions in the Deg2Vector layout (see _texts for why table order is
-graded lex order).
+as str of the polynomial: linear_text from a mask of the d variables and
+str of a Deg2Vector (see _texts for why table order is graded lex order).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import compress, groupby
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class NotHomogeneousDegree2(ValueError):
@@ -256,22 +254,6 @@ def linear_text(mask: int, d: int) -> str:
     return " + ".join(compress(_texts(d)[0], bit_flags(mask))) or "0"
 
 
-def deg2_text(p: F2Polynomial, d: int) -> str:
-    """str(p) of a homogeneous degree-2 polynomial (or zero) in x_1, ..., x_d.
-
-    Sorts the terms' table positions as ints: position order is graded
-    lex order (see _texts), and ints sort faster than Monomials.  A term
-    off the table raises what deg2_to_vector raises for it.
-    """
-    _, positions = _deg2_table(d)
-    try:
-        ordered = sorted([positions[m] for m in p.terms])
-    except KeyError:
-        deg2_to_vector(p, d)  # raises, naming the term off the table
-        raise
-    return " + ".join(map(_texts(d)[1].__getitem__, ordered)) or "0"
-
-
 def index_pair(pos: int, d: int) -> tuple[int, int]:
     """Inverse of pair_index."""
     for i in range(1, d + 1):
@@ -291,6 +273,7 @@ class Deg2Vector:
 
     bits: int
     d: int
+    _SPARSE_RATIO = 32  # str walks the set bits below 1 set in 32: faster there at d <= 512
 
     @property
     def length(self) -> int:
@@ -310,13 +293,28 @@ class Deg2Vector:
         return F2Polynomial(frozenset(compress(monomials, bit_flags(self.bits))))
 
     def __str__(self) -> str:
-        """str(self.to_poly()), read from the bits in table order (see _texts)."""
+        """str(self.to_poly()), read from the bits in table order (see _texts):
+        a sparse vector (a theta_j) by its set bits, a dense one by its flags."""
         self._check_layout()
-        return " + ".join(compress(_texts(self.d)[1], bit_flags(self.bits))) or "0"
+        texts = _texts(self.d)[1]
+        if self.bits.bit_count() * self._SPARSE_RATIO < self.length:
+            terms = map(texts.__getitem__, _set_bits(self.bits))
+        else:
+            terms = compress(texts, bit_flags(self.bits))
+        return " + ".join(terms) or "0"
 
     def _check_layout(self) -> None:
         if self.bits >> self.length:
             raise ValueError(f"position out of range for d={self.d}")
+
+
+def _off_table(m: Monomial, d: int) -> ValueError:
+    """The error naming a term that has no position in the layout of d."""
+    if len(m) != 2:
+        return NotHomogeneousDegree2(f"term {m} has degree {len(m)}")
+    if m[1] > d:
+        return VariableOutOfRange(f"x{m[1]} with d={d}")
+    return ValueError(f"bad pair ({m[0]},{m[1]}) for d={d}")  # as pair_index words it
 
 
 def deg2_to_vector(p: F2Polynomial, d: int) -> Deg2Vector:
@@ -326,26 +324,23 @@ def deg2_to_vector(p: F2Polynomial, d: int) -> Deg2Vector:
     try:
         for m in p.terms:
             bits |= 1 << positions[m]
-        return Deg2Vector(bits, d)
     except KeyError:
-        pass  # a term off the table: the loop below names it
-    bits = 0
-    for m in p.terms:
-        if len(m) != 2:
-            raise NotHomogeneousDegree2(f"term {m} has degree {len(m)}")
-        i, j = m
-        if j > d:
-            raise VariableOutOfRange(f"x{j} with d={d}")
-        bits |= 1 << pair_index(i, j, d)
+        raise _off_table(m, d) from None  # m is the term the lookup missed
     return Deg2Vector(bits, d)
 
 
-def _set_bits(x: int) -> Iterator[int]:
-    """Positions of the set bits of x, ascending."""
+def _set_bits(x: int, base: int = 0) -> list[int]:
+    """Positions of the set bits of x, ascending, each plus base.  Clearing a
+    top bit costs the length of x, so an x of 4098 bits or more goes by halves."""
+    half = x.bit_length() >> 1
+    if half > 2048:
+        return _set_bits(x & ((1 << half) - 1), base) + _set_bits(x >> half, base + half)
+    positions = []
     while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+        top = x.bit_length() - 1
+        positions.append(base + top)
+        x ^= 1 << top
+    return positions[::-1]
 
 
 class F2RowSpace:

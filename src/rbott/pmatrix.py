@@ -15,7 +15,7 @@ are views for printing and for the reference class_*_j.
 sw_data is the generic referee that the closed-form spin criterion and
 the census kernel are tested against.  It carries the linear classes as
 bitmasks of the d variables while it expands w2 (see its docstring) and
-hands back F2Polynomials along with those masks and w2's vector; it
+hands back bits only, the polynomials being views built on first use; it
 imports nothing from rbott.bott or the census kernel.
 """
 
@@ -203,24 +203,36 @@ def _linear_poly(mask: int, d: int) -> F2Polynomial:
 
 @dataclass(frozen=True)
 class SWData:
-    """Degree <= 2 Stiefel-Whitney data of the quotient manifold.
+    """Degree <= 2 Stiefel-Whitney data of the quotient manifold, as bits.
 
-    The classes live in F2[x1, ..., xd]; alphas[j - 1], betas[j - 1] and
-    thetas[j - 1] belong to column j.  The bit forms sw_data computes
-    come along: masks[j - 1] is (beta_j, c_j) as d-bit masks, bit a the
-    coefficient of x_{a+1}, with alpha_j = beta_j xor c_j; w1_mask is
-    w1 as such a mask and w2_vector is w2.  w2 is built from w2_vector
-    on first use.
+    Column j's classes sit at index j - 1: masks[j - 1] is (beta_j, c_j) as
+    d-bit masks, bit a the coefficient of x_{a+1}, with alpha_j = beta_j
+    xor c_j, and theta_vectors[j - 1] is theta_j.  w1_mask is w1 as such a
+    mask and w2_vector is w2.  alphas, betas, w1, thetas and w2 are their
+    views as F2Polynomials in F2[x1, ..., xd], built on first use.
     """
 
     d: int
-    alphas: tuple[F2Polynomial, ...]
-    betas: tuple[F2Polynomial, ...]
-    w1: F2Polynomial
-    thetas: tuple[F2Polynomial, ...]
     masks: tuple[tuple[int, int], ...]
     w1_mask: int
+    theta_vectors: tuple[Deg2Vector, ...]
     w2_vector: Deg2Vector
+
+    @functools.cached_property
+    def alphas(self) -> tuple[F2Polynomial, ...]:
+        return tuple(_linear_poly(beta ^ c, self.d) for beta, c in self.masks)
+
+    @functools.cached_property
+    def betas(self) -> tuple[F2Polynomial, ...]:
+        return tuple(_linear_poly(beta, self.d) for beta, _ in self.masks)
+
+    @functools.cached_property
+    def w1(self) -> F2Polynomial:
+        return _linear_poly(self.w1_mask, self.d)
+
+    @functools.cached_property
+    def thetas(self) -> tuple[F2Polynomial, ...]:
+        return tuple(v.to_poly() for v in self.theta_vectors)
 
     @functools.cached_property
     def w2(self) -> F2Polynomial:
@@ -251,8 +263,8 @@ def sw_data(E: PMatrix) -> SWData:
     This is the product itself, term by term, on any d x n P-matrix:
     masks only replace sets of monomials.  It uses no row weights and
     not the closed form of bott.spin_closed_form, which is tested
-    against this referee.  The theta_j stay products alpha_j * beta_j
-    of polynomials.
+    against this referee.  The theta_j are products alpha_j * beta_j of
+    polynomials, all made before each is turned into its vector once.
     """
     d = E.d
     full = (1 << d) - 1
@@ -273,18 +285,9 @@ def sw_data(E: PMatrix) -> SWData:
         upper = ((row ^ col) >> a & ~1) | (row >> a & 1)
         w2 |= upper << offset
         offset += d - a
-    alphas = tuple(_linear_poly(beta ^ c, d) for beta, c in masks)
-    betas = tuple(_linear_poly(beta, d) for beta, _ in masks)
-    return SWData(
-        d=d,
-        alphas=alphas,
-        betas=betas,
-        w1=_linear_poly(prefix, d),
-        thetas=tuple(a * b for a, b in zip(alphas, betas)),
-        masks=masks,
-        w1_mask=prefix,
-        w2_vector=Deg2Vector(w2, d),
-    )
+    thetas = [_linear_poly(beta ^ c, d) * _linear_poly(beta, d) for beta, c in masks]
+    vectors = tuple([deg2_to_vector(t, d) for t in thetas])
+    return SWData(d, masks, prefix, vectors, Deg2Vector(w2, d))
 
 
 def total_sw_class(E: PMatrix, max_degree: int) -> F2Polynomial:
@@ -299,8 +302,8 @@ def total_sw_class(E: PMatrix, max_degree: int) -> F2Polynomial:
 
 
 def ideal_deg2(data: SWData) -> F2RowSpace:
-    """Degree-2 piece of the ideal generated by data.thetas, as a row space."""
-    return F2RowSpace([deg2_to_vector(t, data.d) for t in data.thetas], data.d)
+    """Degree-2 piece of the ideal generated by the theta_j, as a row space."""
+    return F2RowSpace(data.theta_vectors, data.d)
 
 
 def is_spin(data: SWData) -> bool:

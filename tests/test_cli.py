@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import samplers
-from rbott import bott, cli, pmatrix
+from rbott import bott, cli, f2poly, pmatrix
 from rbott.bott import BottMatrix, is_kahler
 from rbott.f2poly import Deg2Vector, F2Polynomial, F2RowSpace
 
@@ -416,6 +416,41 @@ class TestOneSWComputation:
         code, _, _ = run(capsys, cmd, "--matrix", kahler12_spec, "--json")
         assert code == 0
         assert len(sw_calls) == 1
+
+
+def _kahler48_spec() -> str:
+    """A seeded 48x48 Kähler matrix as an inline spec."""
+    rows = samplers.kahler_rows(48, random.Random(48))
+    return ";".join(f"{r:048b}"[::-1] for r in rows)
+
+
+class TestEachThetaLookedUpOnce:
+    """sw and verify look each theta_j's terms up in the degree-2 table once:
+    one deg2_to_vector per theta_j, and no other reader of the table."""
+
+    @pytest.fixture()
+    def lookups(self, monkeypatch):
+        counts = {"deg2_to_vector": 0, "_deg2_table": 0}
+        for name in counts:
+            real = getattr(f2poly, name)
+
+            def counting(*args, _name=name, _real=real):
+                counts[_name] += 1
+                return _real(*args)
+
+            for module in (f2poly, pmatrix, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("cmd", ["sw", "verify"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("spec", [PAPER_SPEC, _kahler48_spec()], ids=["paper", "kahler48"])
+    def test_n_lookups(self, capsys, lookups, cmd, json_flag, spec):
+        n = spec.count(";") + 1
+        code, _, _ = run(capsys, cmd, "--matrix", spec, *json_flag)
+        assert code == 0
+        assert lookups == {"deg2_to_vector": n, "_deg2_table": n}
 
 
 class TestRefereeBound:

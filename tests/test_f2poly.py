@@ -16,7 +16,6 @@ from rbott.f2poly import (
     NotHomogeneousDegree2,
     VariableOutOfRange,
     deg2_length,
-    deg2_text,
     deg2_to_vector,
     index_pair,
     linear_text,
@@ -24,6 +23,7 @@ from rbott.f2poly import (
     row_space_membership,
     transpose,
 )
+from rbott.f2poly import _set_bits
 from rbott.pmatrix import ideal_deg2, sw_data
 
 X1 = F2Polynomial.var(1)
@@ -242,6 +242,7 @@ class TestDeg2Vector:
             (ONE, NotHomogeneousDegree2, "term 1 has degree 0"),
             (X1 * X2 * X3, NotHomogeneousDegree2, "term x1*x2*x3 has degree 3"),
             (X3 * F2Polynomial.var(5), VariableOutOfRange, "x5 with d=4"),
+            (F2Polynomial(frozenset({Monomial((3, 2))})), ValueError, "bad pair (3,2) for d=4"),
         ],
     )
     def test_one_bad_term_among_valid_ones(self, bad, error, message):
@@ -275,12 +276,19 @@ class TestTextFromBits:
     @pytest.mark.parametrize("d", TEXT_DS)
     def test_deg2_vector(self, d):
         rng = random.Random(f"vector-text-{d}")
-        for bits in _bit_cases(deg2_length(d), rng):
+        length = deg2_length(d)
+        cases = _bit_cases(length, rng)
+        # popcounts just below, at and just above the sparse/dense switch of str
+        switch = -(-length // Deg2Vector._SPARSE_RATIO)  # the least dense popcount
+        for count in range(max(switch - 2, 0), min(switch + 2, length) + 1):
+            cases.append(sum(1 << k for k in rng.sample(range(length), count)))
+        for bits in cases:
             v = Deg2Vector(bits, d)
             assert str(v) == str(v.to_poly())
 
     @pytest.mark.parametrize("d", TEXT_DS)
     def test_deg2_polynomial(self, d):
+        # a polynomial prints as its vector does, the theta_j among them
         rng = random.Random(f"poly-text-{d}")
         polys = [Deg2Vector(bits, d).to_poly() for bits in _bit_cases(deg2_length(d), rng)]
         # products of linear forms, as the theta_j are
@@ -291,22 +299,22 @@ class TestTextFromBits:
             ]
             polys.append(factors[0] * factors[1])
         for p in polys:
-            assert deg2_text(p, d) == str(p)
+            assert str(deg2_to_vector(p, d)) == str(p)
 
     def test_vector_rejects_bits_past_the_layout(self):
         with pytest.raises(ValueError, match="out of range"):
             str(Deg2Vector(1 << deg2_length(3), 3))
 
-    @pytest.mark.parametrize(
-        "bad, error, message",
-        [
-            (X1, NotHomogeneousDegree2, "term x1 has degree 1"),
-            (X3 * F2Polynomial.var(5), VariableOutOfRange, "x5 with d=4"),
-        ],
-    )
-    def test_polynomial_off_the_table_raises_like_deg2_to_vector(self, bad, error, message):
-        with pytest.raises(error, match=message):
-            deg2_text(X1 * X2 + bad, 4)
+
+@pytest.mark.parametrize("width", [0, 1, 64, 4095, 4096, 4097, 8193, 131328])
+def test_set_bits_ascending_on_either_side_of_the_split(width):
+    rng = random.Random(f"set-bits-{width}")
+    cases = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(3)]
+    cases += [sum(1 << k for k in rng.sample(range(width), min(width, 40)))]
+    for x in cases:
+        expected = [k for k, digit in enumerate(reversed(bin(x))) if digit == "1"]
+        assert _set_bits(x) == expected
+        assert _set_bits(x, 7) == [k + 7 for k in expected]
 
 
 class TestRowSpace:

@@ -258,8 +258,8 @@ class TestSWData:
 
     @pytest.mark.parametrize("kind", ["generic", *sorted(samplers.SAMPLERS)])
     def test_bit_forms_match_polynomials(self, kind):
-        # masks, w1_mask and w2_vector against the polynomial fields, and
-        # w2_vector against the truncated product itself
+        # every field of SWData against the independent reference: the
+        # per-column classes from the entries, and the truncated product
         rng = random.Random(f"bit-forms-{kind}")
         if kind == "generic":
             shapes = [(48, 48), (1, 1), (13, 48)]
@@ -273,13 +273,16 @@ class TestSWData:
         for E in matrices:
             data = sw_data(E)
             d = data.d
-            assert len(data.masks) == E.n
-            for (beta, c), alpha_j, beta_j in zip(data.masks, data.alphas, data.betas):
-                assert _linear(beta ^ c) == alpha_j
-                assert _linear(beta) == beta_j
-            assert _linear(data.w1_mask) == data.w1
-            assert data.w2_vector == deg2_to_vector(data.w2, d)
-            assert data.w2_vector == deg2_to_vector(total_sw_class(E, 2).homogeneous_part(2), d)
+            total = total_sw_class(E, 2)
+            assert d == E.d
+            assert len(data.masks) == len(data.theta_vectors) == E.n
+            columns = zip(data.masks, data.theta_vectors)
+            for j, ((beta, c), theta) in enumerate(columns, start=1):
+                assert _linear(beta ^ c) == class_alpha_j(E, j)
+                assert _linear(beta) == class_beta_j(E, j)
+                assert theta == deg2_to_vector(class_theta_j(E, j), d)
+            assert _linear(data.w1_mask) == total.homogeneous_part(1)
+            assert data.w2_vector == deg2_to_vector(total.homogeneous_part(2), d)
 
     def test_carries_per_column_classes(self):
         rng = random.Random(23)

@@ -25,7 +25,6 @@ only where their probes agree.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
@@ -53,9 +52,6 @@ def measure(repo: Path, sizes: list[int], workers: list[int], repeats: int) -> d
     sys.path.insert(0, str(repo / "src"))
     from rbott import census
 
-    # checkouts from before the single census bound refuse n = 9 with the
-    # oracle unless run_census is given ceiling=n
-    legacy = "ceiling" in inspect.signature(census.run_census).parameters
     seconds: dict[str, dict[str, dict[str, float]]] = {
         mode: {str(w): {} for w in workers} for mode in ("oracle", "theorem")
     }
@@ -65,13 +61,10 @@ def measure(repo: Path, sizes: list[int], workers: list[int], repeats: int) -> d
         seen: dict[str, int] = {}
         for mode in seconds:
             for w in workers:
-                kwargs = {"oracle": mode == "oracle", "workers": w}
-                if legacy:
-                    kwargs["ceiling"] = n
                 best = float("inf")
                 for _ in range(repeats):
                     start = time.perf_counter()
-                    report = census.run_census(n, **kwargs).to_dict()
+                    report = census.run_census(n, oracle=mode == "oracle", workers=w).to_dict()
                     best = min(best, time.perf_counter() - start)
                     for key in COUNTS:
                         value = report[key]
