@@ -15,6 +15,7 @@ from rbott.f2poly import (
     Monomial,
     NotHomogeneousDegree2,
     VariableOutOfRange,
+    _set_bits,
     deg2_length,
     deg2_to_vector,
     index_pair,
@@ -23,7 +24,6 @@ from rbott.f2poly import (
     row_space_membership,
     transpose,
 )
-from rbott.f2poly import _set_bits
 from rbott.pmatrix import ideal_deg2, sw_data
 
 X1 = F2Polynomial.var(1)
