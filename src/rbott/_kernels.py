@@ -18,10 +18,10 @@ r_a, and bit a of c_j and of c_a+1.  The image of a counter value is the
 xor of the images of its set bits.  So each n has one table, built once
 by doubling, of the images of every pattern of the low min(b, SPAN_BITS)
 counter bits: lanes 0..n-1 hold the rows and lanes n..2n-1 the columns.
-A batch never crosses a multiple of 2^SPAN_BITS, whatever CHUNK is, so
-its low bits run through a contiguous slice of the table and its high
-bits are constant.  The batch is that slice xor the image of the high
-bits: one xor, with no gather and no parity pass.
+The batches are the table's spans: a batch never crosses a multiple of
+2^SPAN_BITS, so its low bits run through a contiguous slice of the table
+and its high bits are constant.  The batch is that slice xor the image
+of the high bits: one xor, with no gather and no parity pass.
 
 Batches stay lanes-first, shape (lanes, batch), so that every stage
 works on whole contiguous lanes: the sort, the Kähler test and the
@@ -81,23 +81,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-# counts layout produced by census_range
-IDX_KAHLER = 0
-IDX_SPIN_THEOREM = 1        # Kähler inputs only
-IDX_SPIN_ORACLE_ALL = 2     # all inputs
-IDX_SPIN_ORACLE_KAHLER = 3  # Kähler inputs only
-IDX_ORIENTABLE = 4          # all inputs
-IDX_MISMATCH = 5            # Kähler inputs where theorem != oracle
-N_COUNTS = 6
-
 BACKEND = "numpy"
 
-# counter values per batch
-CHUNK = 4096
-
-# low counter bits decoded by the table; no batch crosses a multiple of
-# 2^SPAN_BITS, whatever CHUNK is
+# low counter bits decoded by the table; a batch is one span of 2^SPAN_BITS
 SPAN_BITS = 12
+
+# fewest counter values in a census shard, unless the counter has fewer:
+# one batch
+CHUNK = 1 << SPAN_BITS
 
 
 def orientable_bits(n: int) -> int:
@@ -170,14 +161,14 @@ def _batches(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
     """Decode the orientable counter values [lo, hi), in counter order, as
     lanes-first batches: rows in lanes 0..n-1, columns in lanes n..2n-1.
 
-    Batches end at multiples of CHUNK and of the table span, so each is
-    a slice of the table, xor the image of its constant high bits.
+    Batches end at multiples of the table span, so each is a slice of
+    the table, xor the image of its constant high bits.
     """
     layout = _layout(n)
     span = 1 << SPAN_BITS
     start = lo
     while start < hi:
-        stop = min(hi, (start // CHUNK + 1) * CHUNK, (start // span + 1) * span)
+        stop = min(hi, (start // span + 1) * span)
         batch = layout.table[:, start % span : start % span + stop - start]
         high = start >> SPAN_BITS
         if high:
@@ -219,15 +210,23 @@ def _spin_oracle(layout: _Layout, rows: np.ndarray) -> np.ndarray:
 
 
 def census_range(n, lo, hi, with_oracle, mismatch_cap):
-    """Counts over the orientable counter values [lo, hi), in the IDX_* layout.
+    """Counts over the orientable counter values [lo, hi), by CensusReport field.
 
-    Returns (counts, mismatches): the first ``mismatch_cap`` Kähler
-    matrices where theorem and oracle disagree, in counter order, each
-    as the tuple of its n row bitmasks.
+    Returns (counts, mismatches).  counts maps each field counted to a
+    Python int; without the oracle it has no oracle fields.  mismatches
+    are the first ``mismatch_cap`` Kähler matrices where theorem and
+    oracle disagree, in counter order, each as the tuple of its n row
+    bitmasks.
     """
     layout = _layout(n)
-    counts = np.zeros(N_COUNTS, dtype=np.int64)
-    counts[IDX_ORIENTABLE] = hi - lo
+    counts = {
+        "kahler_count": 0,
+        "spin_by_theorem_count": 0,
+        "orientable_count": hi - lo,
+        "mismatch_count": 0,
+    }
+    if with_oracle:
+        counts |= {"spin_by_oracle_count": 0, "spin_by_oracle_all_count": 0}
     mismatches: list[tuple[int, ...]] = []
     for batch in _batches(n, lo, hi):
         rows = batch[:n]
@@ -235,14 +234,14 @@ def census_range(n, lo, hi, with_oracle, mismatch_cap):
         ordered = _sorted_columns(layout.network, batch[n:])
         kahler = (ordered[0 : n - 1 : 2] == ordered[1::2]).all(axis=0) & (n % 2 == 0)
         theorem = kahler & _spin_theorem(ordered, rows)
-        counts[IDX_KAHLER] += np.count_nonzero(kahler)
-        counts[IDX_SPIN_THEOREM] += np.count_nonzero(theorem)
+        counts["kahler_count"] += int(np.count_nonzero(kahler))
+        counts["spin_by_theorem_count"] += int(np.count_nonzero(theorem))
 
         if with_oracle:
             oracle = _spin_oracle(layout, rows)
-            counts[IDX_SPIN_ORACLE_ALL] += np.count_nonzero(oracle)
-            counts[IDX_SPIN_ORACLE_KAHLER] += np.count_nonzero(oracle & kahler)
+            counts["spin_by_oracle_all_count"] += int(np.count_nonzero(oracle))
+            counts["spin_by_oracle_count"] += int(np.count_nonzero(oracle & kahler))
             disagree = rows[:, kahler & (oracle != theorem)].T
-            counts[IDX_MISMATCH] += len(disagree)
+            counts["mismatch_count"] += len(disagree)
             mismatches += map(tuple, disagree[: mismatch_cap - len(mismatches)].tolist())
     return counts, mismatches

@@ -5,9 +5,10 @@ row-major, are the bits of a binary counter (position (1,2) is the
 least significant bit).  Censuses sweep only the orientable matrices, in
 the same order, through the kernel's orientable counter, and shard that
 index space into disjoint ranges, so worker counts never change the
-resulting counts.  The kernel hands back each matrix where theorem and
-oracle disagree as its row bitmasks, the storage of BottMatrix; the
-report gives it in the matrix file format of BottMatrix.to_text.
+resulting counts.  The kernel hands back its counts keyed by the
+CensusReport fields they fill, and each matrix where theorem and oracle
+disagree as its row bitmasks, the storage of BottMatrix; the report
+gives it in the matrix file format of BottMatrix.to_text.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Iterator
-
-import numpy as np
 
 from . import _kernels
 from .bott import BottMatrix
@@ -100,16 +99,19 @@ def check_request(n: int, workers: int = 1) -> None:
 
 @dataclass
 class CensusReport:
-    """Aggregate counts of one census run; mismatches must stay empty."""
+    """Aggregate counts of one census run; mismatches must stay empty.
+
+    The oracle counts stay None when the oracle did not run.
+    """
 
     dimension: int
     total: int
-    kahler_count: int
-    spin_by_theorem_count: int
-    spin_by_oracle_count: int | None
-    spin_by_oracle_all_count: int | None
-    orientable_count: int
-    mismatch_count: int = 0
+    kahler_count: int = 0
+    spin_by_theorem_count: int = 0                 # Kähler inputs only
+    spin_by_oracle_count: int | None = None        # Kähler inputs only
+    spin_by_oracle_all_count: int | None = None    # all inputs
+    orientable_count: int = 0
+    mismatch_count: int = 0                        # Kähler, theorem != oracle
     mismatches: list[str] = field(default_factory=list)
     mismatch_truncated: bool = False
     oracle: bool = True
@@ -147,31 +149,24 @@ def run_census(n: int, oracle: bool = True, workers: int = 1) -> CensusReport:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(shard, ranges))
 
-    counts = np.zeros(_kernels.N_COUNTS, dtype=np.int64)
+    counts: dict[str, int] = {}
     mismatch_rows: list[tuple[int, ...]] = []
     for shard_counts, shard_mis in results:
-        counts += shard_counts
-        mismatch_rows.extend(shard_mis)
-    mismatch_rows = mismatch_rows[:MISMATCH_CAP]
+        for key, value in shard_counts.items():
+            counts[key] = counts.get(key, 0) + value
+        mismatch_rows += shard_mis
 
     elapsed = time.perf_counter() - start
     return CensusReport(
         dimension=n,
         total=1 << free_bit_count(n),
-        kahler_count=int(counts[_kernels.IDX_KAHLER]),
-        spin_by_theorem_count=int(counts[_kernels.IDX_SPIN_THEOREM]),
-        spin_by_oracle_count=(
-            int(counts[_kernels.IDX_SPIN_ORACLE_KAHLER]) if oracle else None
-        ),
-        spin_by_oracle_all_count=(
-            int(counts[_kernels.IDX_SPIN_ORACLE_ALL]) if oracle else None
-        ),
-        orientable_count=int(counts[_kernels.IDX_ORIENTABLE]),
-        mismatches=[BottMatrix.from_row_masks(n, rows).to_text() for rows in mismatch_rows],
-        mismatch_count=int(counts[_kernels.IDX_MISMATCH]),
-        mismatch_truncated=int(counts[_kernels.IDX_MISMATCH]) > MISMATCH_CAP,
+        mismatches=[
+            BottMatrix.from_row_masks(n, rows).to_text()
+            for rows in mismatch_rows[:MISMATCH_CAP]
+        ],
+        mismatch_truncated=counts["mismatch_count"] > MISMATCH_CAP,
         oracle=oracle,
         workers=workers,
-        backend=_kernels.BACKEND,
         elapsed=elapsed,
+        **counts,
     )

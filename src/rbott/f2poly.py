@@ -75,12 +75,6 @@ class Monomial(tuple):
         return Monomial(sorted(self + other))
 
     def __str__(self) -> str:
-        # Degrees 1 and 2 skip exps: they are all the per-matrix path prints.
-        if len(self) == 1:
-            return f"x{self[0]}"
-        if len(self) == 2:
-            i, j = self
-            return f"x{i}*x{j}" if i < j else f"x{i}^2"
         if not self:
             return "1"
         return "*".join(
@@ -368,13 +362,13 @@ class F2RowSpace:
             if v.d != d:
                 raise LengthMismatch(f"d={v.d} vs d={d}")
             rows.append(v.bits)
-        self.basis = self._echelonize(rows)
-        pivots = [b & -b for b in self.basis]
-        self._row_at = {piv.bit_length() - 1: b for piv, b in zip(pivots, self.basis)}
-        self._pivot_mask = sum(pivots)
+        self._row_at, self._pivot_mask = self._echelonize(rows)
+        self.basis = [self._row_at[p] for p in sorted(self._row_at)]
 
     @staticmethod
-    def _echelonize(rows: list[int]) -> list[int]:
+    def _echelonize(rows: list[int]) -> tuple[dict[int, int], int]:
+        """The reduced rows as a pivot map {pivot position: row}, and the
+        mask of every pivot bit."""
         pivots: dict[int, int] = {}  # pivot position -> row with that lowest bit
         mask = 0  # the bits of every pivot in the map
         for r in rows:
@@ -392,7 +386,7 @@ class F2RowSpace:
             for q in _set_bits(r & mask ^ (1 << p)):
                 r ^= pivots[q]
             pivots[p] = r
-        return [pivots[p] for p in sorted(pivots)]
+        return pivots, mask
 
     @property
     def dimension(self) -> int:

@@ -54,8 +54,8 @@ def kahler12_spec() -> str:
 def shard_log(monkeypatch):
     """The (lo, hi) range of every kernel call, one per census shard.
 
-    Batches shrink to 4 counter values, so that n = 4 and n = 6 censuses,
-    which fit one real batch, still split into several shards.
+    Shards may shrink to 4 counter values, so that n = 4 and n = 6
+    censuses, which fit one real batch, still split into several shards.
     """
     monkeypatch.setattr(_kernels, "CHUNK", 4)
     kernel = _kernels.census_range

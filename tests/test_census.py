@@ -300,26 +300,36 @@ class TestSortingNetwork:
 
 
 def _referee_counts(n, indices):
-    """The kernel's counts layout, recounted by the per-matrix functions."""
-    counts = [0] * _kernels.N_COUNTS
+    """The kernel's count record, recounted by the per-matrix functions."""
+    counts = dict.fromkeys(
+        (
+            "kahler_count",
+            "spin_by_theorem_count",
+            "orientable_count",
+            "mismatch_count",
+            "spin_by_oracle_count",
+            "spin_by_oracle_all_count",
+        ),
+        0,
+    )
     for idx in indices:
         A = matrix_from_index(n, idx)
         oracle = spin_oracle(A)
-        counts[_kernels.IDX_SPIN_ORACLE_ALL] += oracle
-        counts[_kernels.IDX_ORIENTABLE] += is_orientable(to_pmatrix(A))
+        counts["spin_by_oracle_all_count"] += oracle
+        counts["orientable_count"] += is_orientable(to_pmatrix(A))
         if is_kahler(A):
             theorem = spin_main_theorem(A)
-            counts[_kernels.IDX_KAHLER] += 1
-            counts[_kernels.IDX_SPIN_THEOREM] += theorem
-            counts[_kernels.IDX_SPIN_ORACLE_KAHLER] += oracle
-            counts[_kernels.IDX_MISMATCH] += theorem != oracle
+            counts["kahler_count"] += 1
+            counts["spin_by_theorem_count"] += theorem
+            counts["spin_by_oracle_count"] += oracle
+            counts["mismatch_count"] += theorem != oracle
     return counts
 
 
 def _kernel_counts(n, lo, hi):
     counts, mismatches = _kernels.census_range(n, lo, hi, True, MISMATCH_CAP)
     assert mismatches == []
-    return counts.tolist()
+    return counts
 
 
 class TestKernelReferee:
@@ -356,9 +366,11 @@ class TestKernelReferee:
         for n in (6, 7):
             total = 1 << _kernels.orientable_bits(n)
             cuts = sorted(rng.sample(range(1, total), 9))
-            pieces = zip([0] + cuts, cuts + [total])
-            summed = np.sum([_kernel_counts(n, lo, hi) for lo, hi in pieces], axis=0)
-            assert summed.tolist() == _kernel_counts(n, 0, total)
+            summed = {}
+            for lo, hi in zip([0] + cuts, cuts + [total]):
+                for key, value in _kernel_counts(n, lo, hi).items():
+                    summed[key] = summed.get(key, 0) + value
+            assert summed == _kernel_counts(n, 0, total)
 
 
 class TestKernelBackends:
@@ -436,8 +448,16 @@ class TestBoundedWork:
 
 
 class TestReportShape:
-    def test_to_dict_key_order(self):
-        assert list(run_census(2).to_dict()) == [
+    @pytest.mark.parametrize("oracle", [True, False])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_to_dict_key_order(self, monkeypatch, shard_log, oracle, workers):
+        # The kernel names the fields it counts; merged over one shard
+        # or several, they keep the report's key order and stay Python
+        # ints, and the oracle fields stay None without the oracle.
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
+        doc = run_census(6, oracle=oracle, workers=workers).to_dict()
+        assert len(shard_log) == workers
+        assert list(doc) == [
             "dimension",
             "total",
             "kahler_count",
@@ -453,25 +473,10 @@ class TestReportShape:
             "backend",
             "elapsed",
         ]
-
-    def test_to_dict_fields(self):
-        doc = run_census(2).to_dict()
-        assert set(doc) == {
-            "dimension",
-            "total",
-            "kahler_count",
-            "spin_by_theorem_count",
-            "spin_by_oracle_count",
-            "spin_by_oracle_all_count",
-            "orientable_count",
-            "mismatch_count",
-            "mismatches",
-            "mismatch_truncated",
-            "oracle",
-            "workers",
-            "backend",
-            "elapsed",
-        }
+        for key, value in doc.items():
+            if key == "total" or key.endswith("_count"):
+                unset = not oracle and key.startswith("spin_by_oracle")
+                assert type(value) is (type(None) if unset else int), key
 
     def test_mismatch_invariant(self):
         for n in (2, 3, 4, 5, 6):

@@ -10,11 +10,12 @@ Every n in --sizes is censused with and without the oracle, on each
 worker count in --workers, --repeats times in this process; the entry
 holds the best wall time of each in seconds, under
 seconds[mode][workers][n], with mode "oracle" or "theorem".  It also
-holds the counts of each n, and every run of that n must give the same
-counts (the oracle fields only where the oracle ran), so two entries
-compare only when their counts agree.  With the defaults (n = 6, 8 and
-9, 1 and 2 workers, best of 3) one round takes about four minutes on a
-2-CPU VM, most of it the n = 9 oracle census.
+holds the counts of each n (the report's total and every *_count field),
+and every run of that n must give the same counts (the oracle fields
+only where the oracle ran), so two entries compare only when their
+counts agree.  With the defaults (n = 6, 8 and 9, 1 and 2 workers, best
+of 3) one round takes about four minutes on a 2-CPU VM, most of it the
+n = 9 oracle census.
 
 Every entry carries the metadata of tools/bench_check.py (commit, Python
 and numpy versions, CPU count, kernel) and the machine's speed before and
@@ -37,15 +38,11 @@ if str(HERE / "tools") not in sys.path:
 from bench_check import _probe_s, metadata  # noqa: E402
 
 OUT = HERE / "BENCH_census.json"
-COUNTS = (
-    "total",
-    "kahler_count",
-    "spin_by_theorem_count",
-    "spin_by_oracle_count",
-    "spin_by_oracle_all_count",
-    "orientable_count",
-    "mismatch_count",
-)
+
+
+def _counts(report: dict) -> dict:
+    """The report's counts: total and every field ending in _count."""
+    return {k: v for k, v in report.items() if k == "total" or k.endswith("_count")}
 
 
 def measure(repo: Path, sizes: list[int], workers: list[int], repeats: int) -> dict:
@@ -66,12 +63,11 @@ def measure(repo: Path, sizes: list[int], workers: list[int], repeats: int) -> d
                     start = time.perf_counter()
                     report = census.run_census(n, oracle=mode == "oracle", workers=w).to_dict()
                     best = min(best, time.perf_counter() - start)
-                    for key in COUNTS:
-                        value = report[key]
+                    for key, value in _counts(report).items():
                         if value is not None and seen.setdefault(key, value) != value:
                             raise SystemExit(f"n = {n}, {mode}, {w} workers: {key} differs")
                 seconds[mode][str(w)][str(n)] = round(best, 6)
-        counts[str(n)] = {key: seen[key] for key in COUNTS if key in seen}
+        counts[str(n)] = seen
     probe_after = _probe_s()
     return {
         **metadata(repo),
