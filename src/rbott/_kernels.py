@@ -8,16 +8,24 @@ spin, and a matrix is orientable iff every row has even weight.  So the
 kernel walks the orientable counter [0, 2^b), b = (n-1)(n-2)/2.  Its
 bits are the free entries a_aj, j >= a+2, row-major, least significant
 bit first; the entry a_a,a+1 is the parity of row a's free entries.
-Rows r_a and columns c_j are uint16 bitmasks: bit j of r_a and bit a of
-c_j are both the entry a_aj.
+Rows r_a and columns c_j are bitmasks: bit j of r_a and bit a of c_j
+are both the entry a_aj.  A strictly upper triangular row never has bit
+0, so the kernel stores each row as r_a >> 1, with a_aj in bit j - 1;
+the columns are stored as they are.  Both then use bits 0..n-2 only, so
+the lanes are uint8 up to n = 9 (every census n) and uint16 above.
+Every numpy stage is dtype-generic; a byte lane halves each temporary
+and makes every popcount a byte popcount.  Any producer of batches (a
+Kähler generator, say) must build them in this convention: stored rows,
+unshifted columns, in the layout's dtype.
 
 The decoder rests on one fact: the map from an orientable counter value
 to its rows and columns is F2-linear.  A free bit sets a_aj and toggles
-the parity entry a_a,a+1, so it has a fixed image: bits j and a+1 of
-r_a, and bit a of c_j and of c_a+1.  The image of a counter value is the
-xor of the images of its set bits.  So each n has one table, built once
-by doubling, of the images of every pattern of the low min(b, SPAN_BITS)
-counter bits: lanes 0..n-1 hold the rows and lanes n..2n-1 the columns.
+the parity entry a_a,a+1, so it has a fixed image: bits j - 1 and a of
+stored row a, and bit a of c_j and of c_a+1.  The image of a counter
+value is the xor of the images of its set bits.  So each n has one
+table, built once by doubling, of the images of every pattern of the
+low min(b, SPAN_BITS) counter bits: lanes 0..n-1 hold the stored rows
+and lanes n..2n-1 the columns.
 The batches are the table's spans: a batch never crosses a multiple of
 2^SPAN_BITS, so its low bits run through a contiguous slice of the table
 and its high bits are constant.  The batch is that slice xor the image
@@ -34,7 +42,8 @@ matrices first differ, from the most significant end, in a parity bit.
 In the full counter the entry (a, a+1) is the least significant bit of
 row a, so that would need row a to agree in every free bit but not in
 their parity, which cannot happen.  So the mismatches, reported as
-their row bitmasks, come in full counter order.
+their full row bitmasks (stored rows widened, then shifted back, so
+that no top bit is lost), come in full counter order.
 
 Write m_a = |r_a| for the row weights and m_ab = |r_a AND r_b|.  For the
 P-matrix of a Bott matrix the generators of the characteristic ideal are
@@ -60,13 +69,21 @@ for i < j says |r_i AND t_j| is even, as r_j has no bit j and so
 |r_i AND t_j| = m_ij + a_ij h_j.  In an orientable matrix rows n-2 and
 n-1 are zero (row n-1 is empty, and row n-2's one entry is its own
 parity), so t_n-2 = t_n-1 = 0 and only the pairs i < j < n-2 can fail.
+The kernel works on stored rows: neither r_i nor t_j has bit 0, so
+|r_i AND t_j| is the weight of (r_i >> 1) AND (t_j >> 1), and
+t_j >> 1 = (r_j >> 1) XOR (h_j << (j - 1)).  Stored lane 0 gets no
+diagonal bit, since t_0 is never the j of a pair.
 
 Sort each matrix's column values, with a sorting network of lane-wise
 min/max.  Every value occurs an even number of times (the Kähler test)
 iff n is even and positions 2k and 2k+1 are equal for every k.  The
 reduced matrix keeps one column of each equal pair, and the bitmask of
 its row sums is the xor of the kept columns, so the even sorted
-positions give it.
+positions give it: bit i is row i's sum.  The theorem asks that no odd
+row i have c_i nonzero, and bit i - 1 of the OR of the stored rows says
+whether c_i is nonzero.  c_0 is always zero, so the test
+((sums >> 1) AND nonzero) = 0 is exact.  (sums AND (nonzero << 1))
+would lose c_8 in a uint8 lane at n = 9.
 
 A Kähler matrix (every column value occurs an even number of times) is
 orientable: each row meets every class of equal columns in an even
@@ -125,31 +142,32 @@ class _Layout(NamedTuple):
     high: np.ndarray         # (b - SPAN_BITS, 2n): images of the high bits
     network: tuple           # sorting network comparators
     pairs: tuple             # (i, j) lanes of the oracle's pairs i < j < n-2
-    diagonal: np.ndarray     # (n, 1): bit a of lane a
+    diagonal: np.ndarray     # (n, 1): bit a - 1 of stored row a, none in row 0
 
 
 @functools.cache
 def _layout(n: int) -> _Layout:
     """The images of the orientable counter bits, and the stages' constants."""
+    # stored rows and the columns use bits 0..n-2
+    dtype = np.uint8 if n <= 9 else np.uint16
     images = []
     for a in range(n):
         for j in range(a + 2, n):
-            image = np.zeros(2 * n, dtype=np.uint16)
-            image[a] = (1 << j) | (1 << (a + 1))
+            image = np.zeros(2 * n, dtype=dtype)
+            image[a] = (1 << (j - 1)) | (1 << a)
             image[n + j] = image[n + a + 1] = 1 << a
             images.append(image)
     low = min(len(images), SPAN_BITS)
-    table = np.zeros((2 * n, 1 << low), dtype=np.uint16)
+    table = np.zeros((2 * n, 1 << low), dtype=dtype)
     for k in range(low):
         table[:, 1 << k : 2 << k] = table[:, : 1 << k] ^ images[k][:, None]
-    lanes = np.arange(n)
     layout = _Layout(
         table=table,
-        high=np.array(images[low:], dtype=np.uint16).reshape(-1, 2 * n),
+        high=np.array(images[low:], dtype=dtype).reshape(-1, 2 * n),
         # column 0 is zero, so already the least: sort columns 1..n-1
         network=tuple((lo + 1, hi + 1) for lo, hi in _sorting_network(n - 1)),
         pairs=np.triu_indices(max(n - 2, 0), 1),
-        diagonal=(np.uint16(1) << lanes.astype(np.uint16))[:, None],
+        diagonal=np.array([(1 << a) >> 1 for a in range(n)], dtype=dtype)[:, None],
     )
     # every caller shares the layout, and batches are views of the table
     for array in (table, layout.high, *layout.pairs, layout.diagonal):
@@ -159,7 +177,8 @@ def _layout(n: int) -> _Layout:
 
 def _batches(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
     """Decode the orientable counter values [lo, hi), in counter order, as
-    lanes-first batches: rows in lanes 0..n-1, columns in lanes n..2n-1.
+    lanes-first batches: stored rows r_a >> 1 in lanes 0..n-1, columns in
+    lanes n..2n-1.
 
     Batches end at multiples of the table span, so each is a slice of
     the table, xor the image of its constant high bits.
@@ -188,15 +207,16 @@ def _sorted_columns(network: tuple, columns: np.ndarray) -> np.ndarray:
 
 def _spin_theorem(ordered: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Reduced-row-sum criterion from the sorted columns ``ordered`` of
-    Kähler matrices: spin iff every row i with odd sum has c_i = 0."""
+    Kähler matrices and their stored rows: spin iff every row i with odd
+    sum has c_i = 0."""
     sums = np.bitwise_xor.reduce(ordered[0::2], axis=0)
     nonzero = np.bitwise_or.reduce(rows, axis=0)
-    return (sums & nonzero) == 0
+    return ((sums >> 1) & nonzero) == 0
 
 
 def _spin_oracle(layout: _Layout, rows: np.ndarray) -> np.ndarray:
-    """Closed-form oracle on orientable matrices (w1 = 0 already holds):
-    spin iff |r_i AND t_j| is even for all i < j < n-2."""
+    """Closed-form oracle on the stored rows of orientable matrices (w1 = 0
+    already holds): spin iff |r_i AND t_j| is even for all i < j < n-2."""
     half = (np.bitwise_count(rows) >> 1) & np.uint8(1)
     t = rows ^ (half * layout.diagonal)
     i, j = layout.pairs
@@ -243,5 +263,7 @@ def census_range(n, lo, hi, with_oracle, mismatch_cap):
             counts["spin_by_oracle_count"] += int(np.count_nonzero(oracle & kahler))
             disagree = rows[:, kahler & (oracle != theorem)].T
             counts["mismatch_count"] += len(disagree)
-            mismatches += map(tuple, disagree[: mismatch_cap - len(mismatches)].tolist())
+            # widen before restoring bit 0, or a row's top bit is lost
+            kept = disagree[: mismatch_cap - len(mismatches)].astype(np.uint32) << 1
+            mismatches += map(tuple, kept.tolist())
     return counts, mismatches

@@ -251,9 +251,11 @@ class TestOrientableCounter:
 
 
 def _lanes(A):
-    """Rows then columns of A as bitmasks: bit j of row a, bit a of column j."""
+    """Stored rows then columns of A as bitmasks.  The kernel stores row a
+    as r_a >> 1, entry a_aj in bit j - 1 (bit 0 of a strictly upper
+    triangular row is always zero); column j has a_aj in bit a."""
     n = A.n
-    rows = [sum(A.rows[a][j] << j for j in range(n)) for a in range(n)]
+    rows = [sum(A.rows[a][j] << j for j in range(n)) >> 1 for a in range(n)]
     columns = [sum(A.rows[a][j] << a for a in range(n)) for j in range(n)]
     return rows + columns
 
@@ -284,6 +286,14 @@ class TestDecoder:
         batches = self._check(n, lo, hi)
         # one batch on each side: no batch crosses the span boundary
         assert [b.shape[1] for b in batches] == [boundary - lo, hi - boundary]
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_lanes_are_bytes_up_to_n9(self, n):
+        # stored rows and columns use bits 0..n-2
+        dtype = np.uint8 if n <= 9 else np.uint16
+        assert _kernels._layout(n).table.dtype == dtype
+        assert _kernels._layout(n).high.dtype == dtype
+        assert all(b.dtype == dtype for b in _kernels._batches(n, 0, 2))
 
 
 class TestSortingNetwork:
@@ -343,7 +353,8 @@ class TestKernelReferee:
         assert sweep == _referee_counts(n, range(1 << free_bit_count(n)))
 
     @pytest.mark.parametrize(
-        "n,seed", [(7, 1), (7, 2), (8, 1), (8, 2), (8, 3), (10, 1), (10, 2), (11, 1)]
+        "n,seed",
+        [(7, 1), (7, 2), (8, 1), (8, 2), (8, 3), (9, 1), (9, 2), (10, 1), (10, 2), (11, 1)],
     )
     def test_matches_referee_on_seeded_windows(self, n, seed):
         # Windows around a Kähler matrix (even n) or an orientable one
@@ -393,6 +404,25 @@ class TestMismatchPath:
             assert report.mismatch_truncated
             assert report.mismatches == first
         assert reports[0].mismatches == reports[1].mismatches
+
+    def test_mismatch_rows_keep_the_top_bit(self, monkeypatch):
+        # Mismatches come back as full row bitmasks, not the kernel's
+        # stored r_a >> 1: a Kähler matrix with a_07 = 1 has bit 7 of row 0.
+        theorem = _kernels._spin_theorem
+        monkeypatch.setattr(_kernels, "_spin_theorem", lambda *a: ~theorem(*a))
+        n = 8
+        A = next(
+            A
+            for seed in itertools.count()
+            if (A := matrix_from_index(n, _random_kahler_index(n, random.Random(seed)))).rows[0][7]
+        )
+        lo = max(_encode_orientable(A) - 64, 0)
+        window = [_decode_orientable(n, k) for k in range(lo, lo + 128)]
+        counts, mismatches = _kernels.census_range(n, lo, lo + 128, True, MISMATCH_CAP)
+        expected = [B.row_masks for B in window if is_kahler(B)]
+        assert counts["mismatch_count"] == len(expected) <= MISMATCH_CAP
+        assert mismatches == expected
+        assert A.row_masks in mismatches
 
 
 class TestBoundedWork:

@@ -18,7 +18,9 @@ median over --matrices matrices, in milliseconds.  The matrices are
 drawn with seed SEED.
 
 Every entry carries what is needed to reproduce it: the commit of the
-timed checkout (and whether its src/ differs from that commit), the
+timed checkout (and whether its src/ differs from that commit; both
+null when the checkout is not a git work tree, e.g. a `git archive`
+export), the
 Python and numpy versions, the CPU count and the kernel.  It also holds
 the machine's speed before and after the timings, as the best of
 PROBES runs of perfbench.speed.probe() (a fixed pure-Python loop that
@@ -53,10 +55,10 @@ PROBES = 3
 COMMANDS = {"check": "kahler", "sw": "spin_biased", "verify": "kahler"}
 
 
-def _git(repo: Path, *args: str) -> str:
-    return subprocess.run(
-        ["git", "-C", str(repo), *args], capture_output=True, text=True, check=True
-    ).stdout.strip()
+def _git(repo: Path, *args: str) -> str | None:
+    """git's output in repo, or None when repo is not a git work tree."""
+    done = subprocess.run(["git", "-C", str(repo), *args], capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def _spec(n: int, rows: list[int]) -> str:
@@ -71,9 +73,10 @@ def metadata(repo: Path) -> dict:
     """The fields every entry carries to be reproduced."""
     import numpy
 
+    status = _git(repo, "status", "--porcelain", "--", "src")
     return {
         "commit": _git(repo, "rev-parse", "HEAD"),
-        "src_modified": bool(_git(repo, "status", "--porcelain", "--", "src")),
+        "src_modified": None if status is None else bool(status),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpus": os.cpu_count(),
