@@ -25,9 +25,9 @@ from .bott import BottMatrix
 MISMATCH_CAP = 100
 
 # The one bound on every census route.  On one core of a 2-CPU VM the
-# n = 9 sweep takes ~7 s theorem-only and ~33 s with the oracle; n = 10
-# has 2^8 times as many orientable counter values (~30 min theorem-only,
-# ~2.3 h with the oracle).
+# n = 9 sweep takes ~4.4 s theorem-only and ~7.7 s with the oracle; n = 10
+# has 2^8 times as many orientable counter values, on uint16 lanes
+# (~30 min theorem-only, ~2.5 h with the oracle, scaled from 2^20 values).
 MAX_DIM = 9
 
 

@@ -411,11 +411,10 @@ class TestMismatchPath:
         theorem = _kernels._spin_theorem
         monkeypatch.setattr(_kernels, "_spin_theorem", lambda *a: ~theorem(*a))
         n = 8
-        A = next(
-            A
-            for seed in itertools.count()
-            if (A := matrix_from_index(n, _random_kahler_index(n, random.Random(seed)))).rows[0][7]
-        )
+        rng = random.Random(8)
+        A = matrix_from_index(n, _random_kahler_index(n, rng))
+        while not A.rows[0][7]:
+            A = matrix_from_index(n, _random_kahler_index(n, rng))
         lo = max(_encode_orientable(A) - 64, 0)
         window = [_decode_orientable(n, k) for k in range(lo, lo + 128)]
         counts, mismatches = _kernels.census_range(n, lo, lo + 128, True, MISMATCH_CAP)

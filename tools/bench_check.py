@@ -20,12 +20,11 @@ drawn with seed SEED.
 Every entry carries what is needed to reproduce it: the commit of the
 timed checkout (and whether its src/ differs from that commit; both
 null when the checkout is not a git work tree, e.g. a `git archive`
-export), the
-Python and numpy versions, the CPU count and the kernel.  It also holds
-the machine's speed before and after the timings, as the best of
-PROBES runs of perfbench.speed.probe() (a fixed pure-Python loop that
-calls no rbott code): on a shared machine whose speed drifts, entries
-from different runs compare only where their probes agree.
+export), the Python and numpy versions, the CPU count and the kernel.
+It also holds the machine's speed before and after the timings, as the
+best of PROBES runs of perfbench.speed.probe() (a fixed pure-Python
+loop that calls no rbott code): on a shared machine whose speed drifts,
+entries from different runs compare only where their probes agree.
 """
 
 from __future__ import annotations
