@@ -103,10 +103,6 @@ BACKEND = "numpy"
 # low counter bits decoded by the table; a batch is one span of 2^SPAN_BITS
 SPAN_BITS = 12
 
-# fewest counter values in a census shard, unless the counter has fewer:
-# one batch
-CHUNK = 1 << SPAN_BITS
-
 
 def orientable_bits(n: int) -> int:
     """Bits of the orientable counter: the free entries above the superdiagonal."""

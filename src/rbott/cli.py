@@ -416,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("census", help="exhaustive sweep of one dimension")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    workers = "worker processes, capped at the CPU count and at one per shard"
+    p.add_argument("--workers", type=int, default=1, help=workers)
     p.add_argument("--no-oracle", action="store_true", help="skip the cohomological oracle")
     p.add_argument("--out", help="write the report to a file instead of stdout")
     p.set_defaults(func=cmd_census)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rbott import _kernels
+from rbott import _kernels, census
 from rbott.bott import BottMatrix
 
 PAPER_EXAMPLE_TEXT = """\
@@ -50,14 +50,33 @@ def kahler12_spec() -> str:
     return ";".join("".join(map(str, row)) for row in rows)
 
 
+class InlineExecutor:
+    """Stands in for census's ProcessPoolExecutor: runs every shard here,
+    in order, so that patched kernels and loggers see each one."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 @pytest.fixture()
 def shard_log(monkeypatch):
     """The (lo, hi) range of every kernel call, one per census shard.
 
     Shards may shrink to 4 counter values, so that n = 4 and n = 6
-    censuses, which fit one real batch, still split into several shards.
+    censuses, which fit one real shard, still split into several; they
+    run in this process, through InlineExecutor.
     """
-    monkeypatch.setattr(_kernels, "CHUNK", 4)
+    monkeypatch.setattr(census, "MIN_SHARD", 4)
+    monkeypatch.setattr(census.futures, "ProcessPoolExecutor", InlineExecutor)
     kernel = _kernels.census_range
     ranges = []
 

@@ -179,7 +179,7 @@ def test_criterion_7_klein_bottle(klein):
 
 def test_criterion_8_census_determinism(monkeypatch, shard_log):
     monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
-    # with 4-value batches, the 8 values of n = 4 make at most 2 shards
+    # with 4-value shards, the 8 values of n = 4 make at most 2 shards
     shards = {(4, 1): 1, (4, 2): 2, (4, 8): 2, (6, 1): 1, (6, 2): 2, (6, 8): 8}
     ok = True
     for n in (4, 6):

@@ -1,4 +1,5 @@
 import itertools
+import multiprocessing
 import random
 
 import numpy as np
@@ -60,19 +61,24 @@ class TestPartition:
         assert partition_space(4, 1) == [(0, 8)]
 
     def test_two_workers(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "CHUNK", 1)
+        monkeypatch.setattr(census, "MIN_SHARD", 1)
         assert partition_space(4, 2) == [(0, 4), (4, 8)]
 
-    def test_two_workers_balanced_at_n8(self):
-        assert partition_space(8, 2) == [(0, 1 << 20), (1 << 20, 1 << 21)]
+    def test_two_workers_balanced_at_n9(self):
+        assert partition_space(9, 2) == [(0, 1 << 27), (1 << 27, 1 << 28)]
 
-    def test_no_shard_smaller_than_a_batch(self):
-        # 2^10 values fit one 4096-value batch; 2^15 values make 8.
-        assert partition_space(6, 2) == [(0, 1024)]
-        assert partition_space(7, 2) == [(0, 16384), (16384, 32768)]
+    def test_no_shard_shorter_than_min_shard(self):
+        # every n <= 8 (at most 2^21 values) is one shard and starts no
+        # process; n = 9 (2^28 values) makes at most 128 shards
+        assert census.MIN_SHARD == 1 << 21
+        for n in (6, 7, 8):
+            assert partition_space(n, 2) == [(0, 1 << _kernels.orientable_bits(n))]
+        ranges = partition_space(9, 1000)
+        assert len(ranges) == 128
+        assert {hi - lo for lo, hi in ranges} == {1 << 21}
 
     def test_partition_covers_space(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "CHUNK", 1)
+        monkeypatch.setattr(census, "MIN_SHARD", 1)
         for n in (2, 4, 5):
             for workers in (1, 2, 3, 7, 100):
                 ranges = partition_space(n, workers)
@@ -460,10 +466,10 @@ class TestBoundedWork:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
-        monkeypatch.setattr(census, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(census.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
         capped = run_census(6, workers=10**6).to_dict()
         assert pools == [3]
@@ -474,6 +480,51 @@ class TestBoundedWork:
         capped.pop("elapsed")
         reference.pop("elapsed")
         assert capped == reference
+
+
+class TestProcessShards:
+    """Real worker processes: n = 8 made into two shards of 2^20 values."""
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """Pool size of every ProcessPoolExecutor the census starts."""
+        sizes = []
+        real = census.futures.ProcessPoolExecutor
+
+        class Recorded(real):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(census, "MIN_SHARD", 1 << 20)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(census.futures, "ProcessPoolExecutor", Recorded)
+        return sizes
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_two_processes_match_one(self, pools, oracle):
+        one, two = (run_census(8, oracle=oracle, workers=w).to_dict() for w in (1, 2))
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        for doc in (one, two):
+            doc.pop("elapsed")
+            doc.pop("workers")
+        assert one == two
+        assert one["kahler_count"] == 28464
+
+    def test_failing_shard_leaves_no_process(self, pools, monkeypatch):
+        # the workers must inherit the patched kernel
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("needs the fork start method")
+
+        def fail(*args):
+            raise RuntimeError("shard failed")
+
+        monkeypatch.setattr(_kernels, "_spin_oracle", fail)
+        with pytest.raises(RuntimeError, match="shard failed"):
+            run_census(8, workers=2)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
 
 
 class TestReportShape:

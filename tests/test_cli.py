@@ -742,6 +742,18 @@ def test_python_m_rbott():
     assert "kahler:" in proc.stdout
 
 
+def test_cli_import_leaves_out_multiprocessing():
+    # census resolves ProcessPoolExecutor only when it shards
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, rbott.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 class TestRoundTrip:
     def test_parse_print_parse(self, paper_example):
         from rbott.bott import BottMatrix
