@@ -55,7 +55,7 @@ class InlineExecutor:
     in order, so that patched kernels and loggers see each one."""
 
     def __init__(self, max_workers):
-        self.max_workers = max_workers
+        pass
 
     def __enter__(self):
         return self
