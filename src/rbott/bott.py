@@ -215,15 +215,20 @@ class ReducedMatrix:
         return tuple(_entries(m, n) for m in self.kept_masks)
 
 
+def _column_pairs(A: BottMatrix) -> Counter:
+    """How often each column occurs; raises NotKahler unless every count is even."""
+    mult = Counter(A.column_masks)
+    if any(m % 2 for m in mult.values()):
+        raise NotKahler("columns do not pair up into equal pairs")
+    return mult
+
+
 def reduce(A: BottMatrix) -> ReducedMatrix:
     """Keep the first half, by index, of each column equality class.
 
     The row sums are the bits of the xor of the kept column masks.
     """
-    mult = Counter(A.column_masks)
-    if any(m % 2 for m in mult.values()):
-        raise NotKahler("columns do not pair up into equal pairs")
-    left = {col: m // 2 for col, m in mult.items()}
+    left = {col: m // 2 for col, m in _column_pairs(A).items()}
     kept: list[int] = []
     masks: list[int] = []
     sums = 0
@@ -278,10 +283,7 @@ def corollary_check(A: BottMatrix) -> bool:
 
     A sufficient condition for spin; requires the Kähler condition.
     """
-    mult = Counter(A.column_masks)
-    if any(m % 2 for m in mult.values()):
-        raise NotKahler("columns do not pair up into equal pairs")
-    return all(m % 4 == 0 for col, m in mult.items() if col)
+    return all(m % 4 == 0 for col, m in _column_pairs(A).items() if col)
 
 
 @dataclass(frozen=True)

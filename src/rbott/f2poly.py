@@ -394,12 +394,8 @@ class F2RowSpace:
 
     def reduce(self, v: Deg2Vector) -> Deg2Vector:
         """Remainder of v after reduction by the echelon basis."""
-        if v.d != self.d:
-            raise LengthMismatch(f"d={v.d} vs d={self.d}")
-        r = v.bits
-        for p in _set_bits(r & self._pivot_mask):
-            r ^= self._row_at[p]
-        return Deg2Vector(r, self.d)
+        trace = self.reduction_trace(v)
+        return trace[-1][1] if trace else v
 
     def reduction_trace(self, v: Deg2Vector) -> list[tuple[Deg2Vector, Deg2Vector]]:
         """Per-step (basis row used, remainder after) pairs for v."""
