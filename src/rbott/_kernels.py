@@ -76,7 +76,10 @@ diagonal bit, since t_0 is never the j of a pair.
 
 Sort each matrix's column values, with a sorting network of lane-wise
 min/max.  Every value occurs an even number of times (the Kähler test)
-iff n is even and positions 2k and 2k+1 are equal for every k.  The
+iff n is even and positions 2k and 2k+1 are equal for every k.  So at
+odd n the kernel skips the sort, the Kähler test, the theorem and the
+mismatch stage; only the oracle decodes batches, and without it the
+counts are the range's length and zeros.  The
 reduced matrix keeps one column of each equal pair, and the bitmask of
 its row sums is the xor of the kept columns, so the even sorted
 positions give it: bit i is row i's sum.  The theorem asks that no odd
@@ -244,22 +247,29 @@ def census_range(n, lo, hi, with_oracle, mismatch_cap):
     if with_oracle:
         counts |= {"spin_by_oracle_count": 0, "spin_by_oracle_all_count": 0}
     mismatches: list[tuple[int, ...]] = []
+    if n % 2 and not with_oracle:
+        return counts, mismatches
     for batch in _batches(n, lo, hi):
         rows = batch[:n]
+        if with_oracle:
+            oracle = _spin_oracle(layout, rows)
+            counts["spin_by_oracle_all_count"] += int(np.count_nonzero(oracle))
+        if n % 2:
+            continue
 
         ordered = _sorted_columns(layout.network, batch[n:])
-        kahler = (ordered[0 : n - 1 : 2] == ordered[1::2]).all(axis=0) & (n % 2 == 0)
+        kahler = (ordered[0::2] == ordered[1::2]).all(axis=0)
         theorem = kahler & _spin_theorem(ordered, rows)
         counts["kahler_count"] += int(np.count_nonzero(kahler))
         counts["spin_by_theorem_count"] += int(np.count_nonzero(theorem))
 
         if with_oracle:
-            oracle = _spin_oracle(layout, rows)
-            counts["spin_by_oracle_all_count"] += int(np.count_nonzero(oracle))
             counts["spin_by_oracle_count"] += int(np.count_nonzero(oracle & kahler))
-            disagree = rows[:, kahler & (oracle != theorem)].T
-            counts["mismatch_count"] += len(disagree)
-            # widen before restoring bit 0, or a row's top bit is lost
-            kept = disagree[: mismatch_cap - len(mismatches)].astype(np.uint32) << 1
-            mismatches += map(tuple, kept.tolist())
+            disagree = kahler & (oracle != theorem)
+            found = int(np.count_nonzero(disagree))
+            counts["mismatch_count"] += found
+            if found:
+                # widen before restoring bit 0, or a row's top bit is lost
+                kept = rows[:, disagree].T[: mismatch_cap - len(mismatches)].astype(np.uint32)
+                mismatches += map(tuple, (kept << 1).tolist())
     return counts, mismatches

@@ -26,9 +26,9 @@ from .bott import BottMatrix
 MISMATCH_CAP = 100
 
 # The one bound on every census route.  On one core of a 2-CPU VM the
-# n = 9 sweep takes ~4.4 s theorem-only and ~7.7 s with the oracle; n = 10
-# has 2^8 times as many orientable counter values, on uint16 lanes
-# (~30 min theorem-only, ~2.5 h with the oracle, scaled from 2^20 values).
+# n = 9 sweep takes ~3 s with the oracle and no time theorem-only (odd
+# n, no Kähler matrix); n = 10, 2^8 times the values on uint16 lanes,
+# ~30 min theorem-only and ~2.5 h with the oracle (scaled from 2^20).
 MAX_DIM = 9
 
 # Fewest counter values in a shard, unless the counter has fewer.  Two
@@ -132,18 +132,19 @@ def run_census(n: int, oracle: bool = True, workers: int = 1) -> CensusReport:
     """Classify every n x n Bott matrix; cross-validate theorem vs oracle.
 
     Deterministic: counts and mismatch lists do not depend on the
-    worker count, which is capped at ``os.cpu_count()``.  Several shards
-    run in worker processes, one each, that end before this returns or
-    raises; one shard runs here.  Mismatch matrices are kept verbatim
+    worker count.  One shard runs here; several, capped at
+    ``os.cpu_count()`` (read only then), run in worker processes, one
+    each, that end before this returns or raises.  The report's
+    ``workers`` counts the shards.  Mismatch matrices are kept verbatim
     (capped at MISMATCH_CAP with a truncation flag).  Requests that
     check_request refuses raise before any work.
     """
     check_request(n, workers)
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
-
     start = time.perf_counter()
-    shards = [(n, lo, hi, oracle, MISMATCH_CAP) for lo, hi in partition_space(n, workers)]
+    ranges = partition_space(n, workers)
+    if len(ranges) > 1:
+        ranges = partition_space(n, min(workers, os.cpu_count() or 1))
+    shards = [(n, lo, hi, oracle, MISMATCH_CAP) for lo, hi in ranges]
     if len(shards) == 1:
         results = [_kernels.census_range(*shards[0])]
     else:
@@ -169,7 +170,7 @@ def run_census(n: int, oracle: bool = True, workers: int = 1) -> CensusReport:
         ],
         mismatch_truncated=counts["mismatch_count"] > MISMATCH_CAP,
         oracle=oracle,
-        workers=workers,
+        workers=len(shards),
         elapsed=elapsed,
         **counts,
     )

@@ -392,10 +392,18 @@ class F2RowSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
+    def _remainder(self, v: Deg2Vector) -> int:
+        """The bits of v after reduction by the echelon basis."""
+        if v.d != self.d:
+            raise LengthMismatch(f"d={v.d} vs d={self.d}")
+        r = v.bits
+        for p in _set_bits(r & self._pivot_mask):
+            r ^= self._row_at[p]
+        return r
+
     def reduce(self, v: Deg2Vector) -> Deg2Vector:
         """Remainder of v after reduction by the echelon basis."""
-        trace = self.reduction_trace(v)
-        return trace[-1][1] if trace else v
+        return Deg2Vector(self._remainder(v), self.d)
 
     def reduction_trace(self, v: Deg2Vector) -> list[tuple[Deg2Vector, Deg2Vector]]:
         """Per-step (basis row used, remainder after) pairs for v."""
@@ -410,7 +418,7 @@ class F2RowSpace:
         return steps
 
     def contains(self, v: Deg2Vector) -> bool:
-        return self.reduce(v).is_zero()
+        return self._remainder(v) == 0
 
 
 def row_space_membership(space: F2RowSpace, v: Deg2Vector) -> bool:

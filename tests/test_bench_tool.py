@@ -8,9 +8,11 @@ BENCH_*.json files are never written.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -84,3 +86,22 @@ def test_rbott_imported_from_elsewhere_is_refused(bench, tmp_path):
     with pytest.raises(SystemExit, match="not from"):
         bench.main(["check", "--repo", str(tmp_path / "other"), "--label", "typo"])
     assert not (tmp_path / "BENCH_check.json").exists()
+
+
+def test_census_case_runs_until_the_minimum_time(bench, monkeypatch):
+    # a sub-millisecond census repeats past --repeats until its runs add
+    # up to MIN_CASE_S; on this clock every run takes 2/7 of it, so 4 runs
+    from rbott import census
+
+    ticks = itertools.count()
+    clock = SimpleNamespace(perf_counter=lambda: next(ticks) * bench.MIN_CASE_S * 2 / 7)
+    monkeypatch.setattr(bench, "time", clock)
+    calls = []
+
+    def recorded(n, oracle, workers):
+        calls.append(oracle)
+        return run_census(n, oracle=oracle, workers=workers)
+
+    monkeypatch.setattr(census, "run_census", recorded)
+    bench.main(["census", "--label", "t", "--sizes", "2", "--workers", "1", "--repeats", "1"])
+    assert calls == [True] * 4 + [False] * 4

@@ -342,10 +342,23 @@ def _referee_counts(n, indices):
     return counts
 
 
-def _kernel_counts(n, lo, hi):
-    counts, mismatches = _kernels.census_range(n, lo, hi, True, MISMATCH_CAP)
+def _kernel_counts(n, lo, hi, with_oracle=True):
+    counts, mismatches = _kernels.census_range(n, lo, hi, with_oracle, MISMATCH_CAP)
     assert mismatches == []
     return counts
+
+
+def _seeded_window(n, seed):
+    """128 orientable counter values around a seeded Kähler matrix (even n)
+    or orientable one (odd n), and the full counter values they list."""
+    rng = random.Random(seed)
+    pick = _random_kahler_index if n % 2 == 0 else _random_orientable_index
+    A = matrix_from_index(n, pick(n, rng))
+    centre = _encode_orientable(A)
+    assert _decode_orientable(n, centre) == A
+    lo = max(centre - 64, 0)
+    window = range(lo, min(lo + 128, 1 << _kernels.orientable_bits(n)))
+    return window, [index_of(_decode_orientable(n, k)) for k in window]
 
 
 class TestKernelReferee:
@@ -365,15 +378,33 @@ class TestKernelReferee:
     def test_matches_referee_on_seeded_windows(self, n, seed):
         # Windows around a Kähler matrix (even n) or an orientable one
         # (odd n) are dense in the cases the kernel treats specially.
-        rng = random.Random(seed)
-        pick = _random_kahler_index if n % 2 == 0 else _random_orientable_index
-        A = matrix_from_index(n, pick(n, rng))
-        centre = _encode_orientable(A)
-        assert _decode_orientable(n, centre) == A
-        lo = max(centre - 64, 0)
-        window = range(lo, min(lo + 128, 1 << _kernels.orientable_bits(n)))
-        full = [index_of(_decode_orientable(n, k)) for k in window]
+        window, full = _seeded_window(n, seed)
         assert _kernel_counts(n, window.start, window.stop) == _referee_counts(n, full)
+
+    @pytest.mark.parametrize("n,seed", [(7, 1), (7, 2), (9, 1), (9, 2)])
+    def test_odd_n_skips_the_kahler_stages(self, monkeypatch, n, seed):
+        # no Kähler matrix at odd n, so the sort and the theorem never run
+        def fail(*args):
+            raise AssertionError("Kähler stage ran")
+
+        monkeypatch.setattr(_kernels, "_sorted_columns", fail)
+        monkeypatch.setattr(_kernels, "_spin_theorem", fail)
+        window, full = _seeded_window(n, seed)
+        referee = _referee_counts(n, full)
+        assert _kernel_counts(n, window.start, window.stop) == referee
+        for key in ("spin_by_oracle_count", "spin_by_oracle_all_count"):
+            referee.pop(key)
+        assert _kernel_counts(n, window.start, window.stop, with_oracle=False) == referee
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+    def test_theorem_only_odd_census_decodes_nothing(self, monkeypatch, n):
+        def fail(*args):
+            raise AssertionError("batch decoded")
+
+        monkeypatch.setattr(_kernels, "_batches", fail)
+        report = run_census(n, oracle=False)
+        assert report.orientable_count == 1 << _kernels.orientable_bits(n)
+        assert report.kahler_count == report.spin_by_theorem_count == report.mismatch_count == 0
 
     def test_split_ranges_sum_to_whole(self):
         # Ranges with arbitrary ends must neither drop nor double-count
@@ -480,6 +511,23 @@ class TestBoundedWork:
         capped.pop("elapsed")
         reference.pop("elapsed")
         assert capped == reference
+
+    def test_one_shard_plan_reads_no_cpu_count(self, monkeypatch):
+        # the CPU count only sizes a process pool; workers counts the shards
+        def fail():
+            raise AssertionError("cpu_count read")
+
+        monkeypatch.setattr(census.os, "cpu_count", fail)
+        for n, workers in ((6, 4), (8, 2)):
+            report = run_census(n, workers=workers)
+            assert report.workers == 1
+            assert report.orientable_count == 1 << _kernels.orientable_bits(n)
+
+    def test_workers_reports_the_shards_that_ran(self, monkeypatch, shard_log):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        for n, workers, shards in ((4, 8, 2), (6, 8, 2), (2, 2, 1), (6, 1, 1)):
+            shard_log.clear()
+            assert run_census(n, workers=workers).workers == len(shard_log) == shards
 
 
 class TestProcessShards:

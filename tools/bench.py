@@ -22,13 +22,15 @@ The matrices are drawn with seed SEED.
 
 census: wall time of `rbott.census.run_census`.  Every n in --sizes is
 censused with and without the oracle, on each worker count in
---workers, --repeats times in this process; the entry holds the best
-wall time of each in seconds, under seconds[mode][workers][n], with mode
-"oracle" or "theorem".  It also holds the counts of each n (the report's
+--workers, --repeats times in this process, and then again until that
+case's runs add up to MIN_CASE_S, so that a sub-millisecond census is
+timed over many runs; the entry holds the best wall time of each in
+seconds, under seconds[mode][workers][n], with mode "oracle" or
+"theorem".  It also holds the counts of each n (the report's
 total and every *_count field), and every run of that n must give the
 same counts (the oracle fields only where the oracle ran), so two
 entries compare only when their counts agree.  With the defaults (n = 6,
-8 and 9, 1 and 2 workers, best of 3) one round takes about a minute on
+8 and 9, 1 and 2 workers, at least 3 runs) one round takes about 20 s on
 a 2-CPU VM, most of it the n = 9 oracle census.
 
 Every entry carries what is needed to reproduce it: the commit of the
@@ -65,6 +67,7 @@ from perfbench.speed import probe  # noqa: E402
 RECORDS = HERE  # directory holding BENCH_check.json and BENCH_census.json
 SEED = 1
 PROBES = 3
+MIN_CASE_S = 0.2  # least total wall time of a census case's runs
 COMMANDS = {"check": "kahler", "sw": "spin_biased", "verify": "kahler"}
 
 
@@ -150,15 +153,15 @@ def time_census(args: argparse.Namespace) -> tuple[dict, dict]:
         seen: dict[str, int] = {}
         for mode in seconds:
             for w in args.workers:
-                best = float("inf")
-                for _ in range(args.repeats):
+                times: list[float] = []
+                while len(times) < args.repeats or sum(times) < MIN_CASE_S:
                     start = time.perf_counter()
                     report = census.run_census(n, oracle=mode == "oracle", workers=w).to_dict()
-                    best = min(best, time.perf_counter() - start)
+                    times.append(time.perf_counter() - start)
                     for key, value in _counts(report).items():
                         if value is not None and seen.setdefault(key, value) != value:
                             raise SystemExit(f"n = {n}, {mode}, {w} workers: {key} differs")
-                seconds[mode][str(w)][str(n)] = round(best, 6)
+                seconds[mode][str(w)][str(n)] = round(min(times), 6)
         counts[str(n)] = seen
     params = {"workers": args.workers, "repeats": args.repeats}
     return params, {"seconds": seconds, "counts": counts}
