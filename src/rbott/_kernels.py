@@ -42,8 +42,7 @@ matrices first differ, from the most significant end, in a parity bit.
 In the full counter the entry (a, a+1) is the least significant bit of
 row a, so that would need row a to agree in every free bit but not in
 their parity, which cannot happen.  So the mismatches, reported as
-their full row bitmasks (stored rows widened, then shifted back, so
-that no top bit is lost), come in full counter order.
+their full row bitmasks, come in full counter order.
 
 Write m_a = |r_a| for the row weights and m_ab = |r_a AND r_b|.  For the
 P-matrix of a Bott matrix the generators of the characteristic ideal are
@@ -79,14 +78,14 @@ min/max.  Every value occurs an even number of times (the Kähler test)
 iff n is even and positions 2k and 2k+1 are equal for every k.  So at
 odd n the kernel skips the sort, the Kähler test, the theorem and the
 mismatch stage; only the oracle decodes batches, and without it the
-counts are the range's length and zeros.  The
-reduced matrix keeps one column of each equal pair, and the bitmask of
-its row sums is the xor of the kept columns, so the even sorted
-positions give it: bit i is row i's sum.  The theorem asks that no odd
-row i have c_i nonzero, and bit i - 1 of the OR of the stored rows says
-whether c_i is nonzero.  c_0 is always zero, so the test
-((sums >> 1) AND nonzero) = 0 is exact.  (sums AND (nonzero << 1))
-would lose c_8 in a uint8 lane at n = 9.
+counts are the range's length and zeros.  The reduced matrix keeps one
+column of each equal pair, and the bitmask of its row sums is the xor
+of the kept columns, so the even sorted positions give it: bit i is row
+i's sum.  The theorem asks that no odd row i have c_i nonzero, and bit
+i - 1 of the OR of the stored rows says whether c_i is nonzero.  c_0 is
+always zero, so the test ((sums >> 1) AND nonzero) = 0 is exact.  These
+stages run at even n only, where bit n - 1 fits the lane: mismatch rows
+shift back to full bitmasks in the lane's dtype.
 
 A Kähler matrix (every column value occurs an even number of times) is
 orientable: each row meets every class of equal columns in an even
@@ -190,8 +189,8 @@ def _batches(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
         batch = layout.table[:, start % span : start % span + stop - start]
         high = start >> SPAN_BITS
         if high:
-            bits = (high >> np.arange(len(layout.high))) & 1
-            batch = batch ^ np.bitwise_xor.reduce(layout.high[bits == 1], axis=0)[:, None]
+            bits = [k for k in range(high.bit_length()) if high >> k & 1]  # high may exceed int64
+            batch = batch ^ np.bitwise_xor.reduce(layout.high[bits], axis=0)[:, None]
         yield batch
         start = stop
 
@@ -269,7 +268,6 @@ def census_range(n, lo, hi, with_oracle, mismatch_cap):
             found = int(np.count_nonzero(disagree))
             counts["mismatch_count"] += found
             if found:
-                # widen before restoring bit 0, or a row's top bit is lost
-                kept = rows[:, disagree].T[: mismatch_cap - len(mismatches)].astype(np.uint32)
+                kept = rows[:, disagree].T[: mismatch_cap - len(mismatches)]
                 mismatches += map(tuple, (kept << 1).tolist())
     return counts, mismatches

@@ -69,12 +69,14 @@ def enumerate_bott(n: int) -> Iterator[BottMatrix]:
 
 
 def partition_space(n: int, workers: int) -> list[tuple[int, int]]:
-    """Split the orientable counter [0, 2^b) into at most ``workers`` near-equal
-    disjoint covering ranges, none shorter than MIN_SHARD unless the counter is."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    """Split the orientable counter [0, 2^b) into at most ``workers`` near-equal disjoint
+    covering ranges, none shorter than MIN_SHARD unless the counter is, nor more than the
+    CPU count, read only for several; refuses what check_request refuses."""
+    check_request(n, workers)
     total = 1 << _kernels.orientable_bits(n)
     chunks = max(1, min(workers, total // MIN_SHARD))
+    if chunks > 1:
+        chunks = min(chunks, os.cpu_count() or 1)
     base, extra = divmod(total, chunks)
     ranges = []
     lo = 0
@@ -132,18 +134,18 @@ def run_census(n: int, oracle: bool = True, workers: int = 1) -> CensusReport:
     """Classify every n x n Bott matrix; cross-validate theorem vs oracle.
 
     Deterministic: counts and mismatch lists do not depend on the
-    worker count.  One shard runs here; several, capped at
-    ``os.cpu_count()`` (read only then), run in worker processes, one
-    each, that end before this returns or raises.  The report's
-    ``workers`` counts the shards.  Mismatch matrices are kept verbatim
-    (capped at MISMATCH_CAP with a truncation flag).  Requests that
-    check_request refuses raise before any work.
+    worker count.  partition_space plans the shards, and one shard runs
+    here; several run in worker processes, one each, that end before
+    this returns or raises.  A sweep that decodes nothing (odd n, which
+    has no Kähler matrix, without the oracle) is one shard.  The
+    report's ``workers`` counts the shards.  Mismatch matrices are kept
+    verbatim (capped at MISMATCH_CAP with a truncation flag).  Requests
+    that check_request refuses raise before any work.
     """
-    check_request(n, workers)
     start = time.perf_counter()
-    ranges = partition_space(n, workers)
-    if len(ranges) > 1:
-        ranges = partition_space(n, min(workers, os.cpu_count() or 1))
+    # min(workers, 1) keeps a refused worker count refused
+    decodes = oracle or n % 2 == 0
+    ranges = partition_space(n, workers if decodes else min(workers, 1))
     shards = [(n, lo, hi, oracle, MISMATCH_CAP) for lo, hi in ranges]
     if len(shards) == 1:
         results = [_kernels.census_range(*shards[0])]

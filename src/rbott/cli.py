@@ -1,9 +1,10 @@
 """Command-line front door.
 
 Commands: check, sw, pmatrix, generators, census, verify.  Exit codes:
-0 success, 2 input error, 3 mathematical inconsistency between the
-combinatorial spin criterion and the cohomological oracle (never
-expected).
+0 success, 1 stdout closed before the output was written (a broken pipe,
+as in ``rbott census --dim 6 | head -1``; no traceback), 2 input error,
+3 mathematical inconsistency between the combinatorial spin criterion
+and the cohomological oracle (never expected).
 
 Each per-matrix command computes every result once, into one document.
 With --json the document is printed as JSON; in text mode its
@@ -29,6 +30,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
@@ -40,6 +42,7 @@ from .f2poly import deg2_to_vector, linear_text  # noqa: F401
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 
@@ -446,10 +449,18 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a buffered write to a closed pipe fails here, not at exit
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull, so that the
+        # interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -57,6 +57,11 @@ class TestEnumeration:
 class TestPartition:
     """Shards split the orientable counter, where every value is a matrix."""
 
+    @pytest.fixture(autouse=True)
+    def many_cpus(self, monkeypatch):
+        # the plan caps shards at the CPU count; these tests test the other caps
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 1000)
+
     def test_single_worker(self):
         assert partition_space(4, 1) == [(0, 8)]
 
@@ -87,6 +92,20 @@ class TestPartition:
                 for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
                     assert hi == lo
                 assert sum(hi - lo for lo, hi in ranges) == total
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+        assert len(partition_space(9, 1000)) == 3
+        monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+        assert partition_space(9, 2) == [(0, 1 << 28)]
+
+    def test_refuses_what_check_request_refuses(self):
+        for n, workers in ((0, 1), (10, 1), (2, 0), (9, -1)):
+            with pytest.raises(ValueError) as direct:
+                check_request(n, workers)
+            with pytest.raises(type(direct.value)) as refused:
+                partition_space(n, workers)
+            assert str(refused.value) == str(direct.value)
 
 
 class TestCensusCounts:
@@ -293,6 +312,14 @@ class TestDecoder:
         # one batch on each side: no batch crosses the span boundary
         assert [b.shape[1] for b in batches] == [boundary - lo, hi - boundary]
 
+    @pytest.mark.parametrize("n", [14, 17])
+    def test_windows_at_the_top_of_wide_counters(self, n):
+        # the high counter bits pass 63 bits from n = 14 (78 counter bits)
+        top = 1 << _kernels.orientable_bits(n)
+        span = 1 << _kernels.SPAN_BITS
+        self._check(n, top - 5, top)
+        self._check(n, top - span - 3, top - span + 3)
+
     @pytest.mark.parametrize("n", range(1, 12))
     def test_lanes_are_bytes_up_to_n9(self, n):
         # stored rows and columns use bits 0..n-2
@@ -461,6 +488,27 @@ class TestMismatchPath:
         assert A.row_masks in mismatches
 
 
+@pytest.mark.parametrize("n", [10, 16])
+def test_mismatch_rows_keep_the_top_bit_on_two_byte_lanes(monkeypatch, n):
+    # a Kähler matrix with a_0,n-1 = 1 has bit n - 1 of row 0, the top
+    # bit of a uint16 lane at n = 16
+    theorem = _kernels._spin_theorem
+    monkeypatch.setattr(_kernels, "_spin_theorem", lambda *a: ~theorem(*a))
+    assert _kernels._layout(n).table.dtype == np.uint16
+    rng = random.Random(n)
+    A = matrix_from_index(n, _random_kahler_index(n, rng))
+    while not A.rows[0][n - 1]:
+        A = matrix_from_index(n, _random_kahler_index(n, rng))
+    lo = max(_encode_orientable(A) - 64, 0)
+    window = [_decode_orientable(n, k) for k in range(lo, lo + 128)]
+    counts, mismatches = _kernels.census_range(n, lo, lo + 128, True, MISMATCH_CAP)
+    expected = [B.row_masks for B in window if is_kahler(B)]
+    assert counts["mismatch_count"] == len(expected) <= MISMATCH_CAP
+    assert mismatches == expected
+    assert A.row_masks in mismatches
+    assert A.row_masks[0] >> (n - 1) == 1
+
+
 class TestBoundedWork:
     def test_refusal_names_the_counter_size(self, no_kernel):
         for (n, bits), oracle in itertools.product(((10, 45), (11, 55), (12, 66)), (True, False)):
@@ -528,6 +576,44 @@ class TestBoundedWork:
         for n, workers, shards in ((4, 8, 2), (6, 8, 2), (2, 2, 1), (6, 1, 1)):
             shard_log.clear()
             assert run_census(n, workers=workers).workers == len(shard_log) == shards
+
+
+class TestNoWorkSweep:
+    """A theorem-only census at odd n decodes nothing, so it plans one
+    inline shard: no process pool and no CPU count."""
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+    def test_one_inline_shard(self, monkeypatch, n):
+        def fail(*args, **kwargs):
+            raise AssertionError("pool or cpu_count used")
+
+        reference = run_census(n, oracle=False).to_dict()
+        reference.pop("elapsed")
+        monkeypatch.setattr(census.futures, "ProcessPoolExecutor", fail)
+        monkeypatch.setattr(census.os, "cpu_count", fail)
+        for workers in (2, 8):
+            doc = run_census(n, oracle=False, workers=workers).to_dict()
+            doc.pop("elapsed")
+            assert doc == reference
+
+    def test_plan_and_kernel_agree_on_what_decodes(self, monkeypatch, shard_log):
+        # shard_log shrinks shards to 4 values, so a plan that ignored the
+        # kernel's skip would log several shards
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        for n, oracle in itertools.product(range(4, 9), (True, False)):
+            if oracle or n % 2 == 0:
+                shard_log.clear()
+                run_census(n, oracle=oracle, workers=2)
+                assert len(shard_log) == 2, (n, oracle)
+
+        def fail(*args):
+            raise AssertionError("batch decoded")
+
+        monkeypatch.setattr(_kernels, "_batches", fail)
+        for n in (1, 3, 5, 7, 9):
+            shard_log.clear()
+            assert run_census(n, oracle=False, workers=2).workers == 1
+            assert shard_log == [(0, 1 << _kernels.orientable_bits(n))]
 
 
 class TestProcessShards:

@@ -742,6 +742,38 @@ def test_python_m_rbott():
     assert "kahler:" in proc.stdout
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sw", "--matrix", PAPER_SPEC],
+        ["census", "--dim", "6"],
+        ["verify", "--json", "--matrix", PAPER_SPEC],
+    ],
+)
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    # stdout is a pipe whose read end closed before the start, so the
+    # first write (unbuffered) or the flush (buffered) meets a broken pipe
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbott", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+
+
 def test_cli_import_leaves_out_multiprocessing():
     # census resolves ProcessPoolExecutor only when it shards
     src = Path(__file__).resolve().parent.parent / "src"
