@@ -447,12 +447,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.func(args)
-        # a buffered write to a closed pipe fails here, not at exit
-        sys.stdout.flush()
-        return code
+        try:
+            args = _parse(sys.argv[1:] if argv is None else argv)
+            return args.func(args)
+        finally:
+            # a buffered write to a closed pipe fails here, not at exit;
+            # the error replaces argparse's SystemExit after --help
+            sys.stdout.flush()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -742,14 +742,18 @@ def test_python_m_rbott():
     assert "kahler:" in proc.stdout
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""])
+COMMANDS_WITH_OUTPUT = (
+    ["sw", "--matrix", PAPER_SPEC],
+    ["census", "--dim", "6"],
+    ["verify", "--json", "--matrix", PAPER_SPEC],
+)
+
+
+# argparse ignores a failed write of its help, so only the flush of
+# buffered help meets the broken pipe
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["sw", "--matrix", PAPER_SPEC],
-        ["census", "--dim", "6"],
-        ["verify", "--json", "--matrix", PAPER_SPEC],
-    ],
+    "argv,unbuffered",
+    [(argv, mode) for argv in COMMANDS_WITH_OUTPUT for mode in ("1", "")] + [(["--help"], "")],
 )
 def test_closed_stdout_exits_quietly(argv, unbuffered):
     # stdout is a pipe whose read end closed before the start, so the
