@@ -393,9 +393,17 @@ def _add_matrix_args(sub):
     sub.add_argument("--json", action="store_true", help="structured output")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help meets a closed stdout: argparse ignores
+    a failed write of its messages, so unbuffered --help would exit 0."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rbott",
         description="Kähler and spin structure decisions for real Bott manifolds",
     )
@@ -453,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
         finally:
             # a buffered write to a closed pipe fails here, not at exit;
-            # the error replaces argparse's SystemExit after --help
+            # the error replaces argparse's SystemExit after buffered --help
             sys.stdout.flush()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

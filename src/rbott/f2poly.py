@@ -84,6 +84,42 @@ class Monomial(tuple):
 
 ONE_MONOMIAL = Monomial(())
 
+# The pair table: _PAIRS[x_i][x_j] is the monomial x_i*x_j (one object for
+# both orders) for all i, j up to the largest index of a product of two
+# linear terms so far.  It is keyed by variables only, never by an input,
+# and grown by one thread at a time (the census shards are processes).
+_PAIRS: dict[Monomial, dict[Monomial, Monomial]] = {}
+# The table's size is quadratic in its largest index, so it stops at the
+# largest d that sw and verify accept (cli.REFEREE_MAX_N), 18 MB; a product
+# with a larger index is built term by term.
+_PAIRS_MAX = 512
+
+
+def _grow_pairs(d: int) -> None:
+    """Extend the pair table to every x_i*x_j with i, j <= d."""
+    for j in range(len(_PAIRS) + 1, d + 1):
+        x = Monomial((j,))
+        new = _PAIRS[x] = {}
+        for y, row in _PAIRS.items():  # y is x_i for i <= j, x itself last
+            row[x] = new[y] = Monomial((y[0], j))
+
+
+def _times(a: Monomial, cols: Iterable[Monomial]) -> list[Monomial]:
+    """a*b for every b in cols, from the pair table when a and b are linear."""
+    if len(a) == 1:
+        row = _PAIRS.get(a)
+        if row is not None:
+            try:
+                return [row[b] for b in cols]
+            except KeyError:  # a term of cols is not linear, or above the table
+                pass
+        top = max([b[0] for b in cols if len(b) == 1], default=0)
+        if 0 < top <= _PAIRS_MAX and a[0] <= _PAIRS_MAX:
+            _grow_pairs(max(top, a[0]))
+            row = _PAIRS[a]
+            return [row[b] if len(b) == 1 else Monomial(sorted(a + b)) for b in cols]
+    return [Monomial(sorted(a + b)) for b in cols]
+
 
 def _toggle(acc: set[Monomial], m: Monomial) -> None:
     """Add m to a sum over F2: a second copy cancels the first."""
@@ -133,21 +169,17 @@ class F2Polynomial:
         return F2Polynomial(self.terms ^ other.terms)
 
     def __mul__(self, other: "F2Polynomial") -> "F2Polynomial":
-        # For a fixed a the products a*b over distinct b are distinct, so
-        # each row folds into the sum with one symmetric difference; the
-        # factor with fewer terms gives the rows.
+        # For a fixed a the products a*b over distinct b are distinct, so a
+        # one-term factor gives the terms of the product as they are, and
+        # each row of several folds into the sum with one symmetric
+        # difference; the factor with fewer terms gives the rows.
         rows, cols = sorted((self.terms, other.terms), key=len)
+        if len(rows) == 1:
+            (a,) = rows
+            return F2Polynomial(frozenset(_times(a, cols)))
         acc: set[Monomial] = set()
         for a in rows:
-            if len(a) == 1:
-                # x_i * x_j is (i, j) or (j, i): no sort for linear terms
-                products = [
-                    Monomial((a + b if a <= b else b + a) if len(b) == 1 else sorted(a + b))
-                    for b in cols
-                ]
-            else:
-                products = [Monomial(sorted(a + b)) for b in cols]
-            acc.symmetric_difference_update(products)
+            acc.symmetric_difference_update(_times(a, cols))
         return F2Polynomial(frozenset(acc))
 
     def homogeneous_part(self, k: int) -> "F2Polynomial":
@@ -210,8 +242,10 @@ def bit_flags(bits: int) -> bytes:
 
 def transpose(masks: Sequence[int], width: int) -> tuple[int, ...]:
     """Bit i of column j is bit j of masks[i]: at least one mask, each below 2^width."""
-    # last row first, high bit first: each stride-width slice is a column
-    digits = "".join([f"{m:0{width}b}" for m in reversed(masks)])
+    # last row first, high bit first: each stride-width slice is a column;
+    # the format spec is parsed once, not once per mask
+    spec = f"0{width}b"
+    digits = "".join([format(m, spec) for m in reversed(masks)])
     return tuple(int(digits[p::width], 2) for p in range(width - 1, -1, -1))
 
 

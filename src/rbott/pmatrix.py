@@ -251,11 +251,15 @@ def sw_data(E: PMatrix) -> SWData:
     read from one transpose of the stacked planes: beta_j is column j of
     the low plane, c_j (the rows whose entry is 2 or 3) column j of the
     high plane, and alpha_j = beta_j xor c_j.  w2 is expanded term by
-    term into a d x d matrix S over F2, held as row masks: multiplying the
-    prefix by c_j adds c_j to row a of S for every bit a of the prefix.
-    T, the transpose of S, is kept alongside, getting the prefix in row
-    b for every bit b of c_j.  Since x_a x_b = x_b x_a, the coefficient
-    of x_{a+1} x_{b+1} (a < b) is S[a][b] + S[b][a], which is bit b of
+    term into a d x d matrix S over F2, held as row masks, with S[a][b]
+    the coefficient of x_{a+1} x_{b+1} in sum_j prefix_j c_j before the
+    variables commute, prefix_j = c_1 + ... + c_{j-1}.  Gathered by the
+    first factor instead, the same sum is sum_j c_j suffix_j with
+    suffix_j = c_{j+1} + ... + c_n = w1 + prefix_j + c_j.  So one walk
+    over the bits b of each c_j adds suffix_j to row b of S and prefix_j
+    to row b of T, the transpose of S; the bits of the prefixes, about
+    twice as many, are never walked.  Since x_a x_b = x_b x_a, the
+    coefficient of x_{a+1} x_{b+1} (a < b) is S[a][b] + S[b][a], bit b of
     S[a] xor T[a]; that of x_{a+1}^2 is bit a of S[a].  Row a of these
     coefficients, from x_{a+1}^2 on, is row a of the row-major Deg2Vector
     layout, so w2 is written as one vector.
@@ -269,13 +273,16 @@ def sw_data(E: PMatrix) -> SWData:
     d = E.d
     full = (1 << d) - 1
     masks = tuple((t & full, t >> d) for t in transpose(E.low + E.high, E.n))
+    w1 = 0
+    for _, c in masks:
+        w1 ^= c
     S = [0] * d
     T = [0] * d
-    prefix = 0
+    prefix, suffix = 0, w1
     for _, c in masks:
-        for a in _ones(prefix):
-            S[a] ^= c
+        suffix ^= c
         for b in _ones(c):
+            S[b] ^= suffix
             T[b] ^= prefix
         prefix ^= c
     w2 = 0
@@ -287,7 +294,7 @@ def sw_data(E: PMatrix) -> SWData:
         offset += d - a
     thetas = [_linear_poly(beta ^ c, d) * _linear_poly(beta, d) for beta, c in masks]
     vectors = tuple([deg2_to_vector(t, d) for t in thetas])
-    return SWData(d, masks, prefix, vectors, Deg2Vector(w2, d))
+    return SWData(d, masks, w1, vectors, Deg2Vector(w2, d))
 
 
 def total_sw_class(E: PMatrix, max_degree: int) -> F2Polynomial:

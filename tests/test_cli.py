@@ -749,11 +749,12 @@ COMMANDS_WITH_OUTPUT = (
 )
 
 
-# argparse ignores a failed write of its help, so only the flush of
-# buffered help meets the broken pipe
+# --help meets the broken pipe in its own write (unbuffered) or in
+# main's flush (buffered), like the commands' output
 @pytest.mark.parametrize(
     "argv,unbuffered",
-    [(argv, mode) for argv in COMMANDS_WITH_OUTPUT for mode in ("1", "")] + [(["--help"], "")],
+    [(argv, mode) for argv in COMMANDS_WITH_OUTPUT for mode in ("1", "")]
+    + [(help, mode) for help in (["--help"], ["sw", "--help"]) for mode in ("1", "")],
 )
 def test_closed_stdout_exits_quietly(argv, unbuffered):
     # stdout is a pipe whose read end closed before the start, so the

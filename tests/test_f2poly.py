@@ -24,7 +24,8 @@ from rbott.f2poly import (
     row_space_membership,
     transpose,
 )
-from rbott.pmatrix import ideal_deg2, sw_data
+from rbott import f2poly
+from rbott.pmatrix import class_alpha_j, class_beta_j, ideal_deg2, sw_data
 
 X1 = F2Polynomial.var(1)
 X2 = F2Polynomial.var(2)
@@ -157,6 +158,151 @@ class TestProductAgainstNaive:
                 for k in (rng.randrange(5, 40), rng.randrange(1, 4))
             )
             assert big * small == small * big == _naive_product(big, small)
+
+
+def _random_poly(rng, terms, variables, degrees=(0, 1, 2, 3)):
+    """A sum of terms monomials, each of a degree from degrees in the given variables."""
+    return F2Polynomial.from_monomials(
+        Monomial(sorted(rng.choices(variables, k=rng.choice(degrees)))) for _ in range(terms)
+    )
+
+
+def _monomial_product(p, q):
+    # independent of __mul__: Monomial.__mul__ is the sorted concatenation
+    return F2Polynomial.from_monomials(a * b for a in p.terms for b in q.terms)
+
+
+class TestProductThroughPairTable:
+    """__mul__, whose linear products come from the pair table and whose
+    one-term factors skip the symmetric differences, against the sum of
+    the Monomial products, in both orders."""
+
+    def assert_products(self, pairs):
+        for p, q in pairs:
+            expected = _monomial_product(p, q)
+            assert p * q == expected, (p, q)
+            assert q * p == expected, (q, p)
+
+    def test_zero_and_one(self):
+        rng = random.Random(41)
+        polys = [_random_poly(rng, k, range(1, 10)) for k in range(8)]
+        self.assert_products((p, c) for p in polys for c in (ZERO, ONE))
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_one_term_factors(self, degree):
+        rng = random.Random(42 + degree)
+        pairs = []
+        for _ in range(60):
+            term = Monomial(sorted(rng.choices(range(1, 10), k=degree)))
+            other = _random_poly(rng, rng.randrange(1, 12), range(1, 10))
+            pairs.append((F2Polynomial(frozenset({term})), other))
+        self.assert_products(pairs)
+
+    def test_linear_times_linear_with_shared_variables(self):
+        rng = random.Random(43)
+        pairs = [(F2Polynomial.var(i), F2Polynomial.var(i)) for i in range(1, 8)]
+        for _ in range(100):
+            p, q = (_random_poly(rng, rng.randrange(1, 7), range(1, 7), (1,)) for _ in "pq")
+            pairs.append((p, q))
+        assert any(p.terms & q.terms for p, q in pairs[7:])  # x_i * x_i arises
+        self.assert_products(pairs)
+
+    def test_linear_times_mixed_degree(self):
+        rng = random.Random(44)
+        pairs = [
+            (
+                _random_poly(rng, rng.randrange(1, 6), range(1, 9), (1,)),
+                _random_poly(rng, rng.randrange(1, 10), range(1, 9)),
+            )
+            for _ in range(100)
+        ]
+        self.assert_products(pairs)
+
+    def test_several_terms_times_several(self):
+        rng = random.Random(45)
+        pairs = [
+            tuple(_random_poly(rng, rng.randrange(2, 15), range(1, 12)) for _ in "pq")
+            for _ in range(100)
+        ]
+        self.assert_products(pairs)
+
+    def test_indices_above_the_table(self):
+        rng = random.Random(46)
+        top = len(f2poly._PAIRS)  # the largest index the table holds
+        fresh = range(top + 1, top + 40)
+        pairs = [(F2Polynomial.var(top + 1), F2Polynomial.var(top + 39))]
+        for _ in range(60):
+            p = _random_poly(rng, rng.randrange(1, 6), fresh, (1,))
+            q = _random_poly(rng, rng.randrange(1, 8), range(1, top + 60))
+            pairs.append((p, q))
+        self.assert_products(pairs)
+
+
+class TestPairTableIsStructural:
+    """The pair table is keyed by variables: the same factors, or those of
+    another matrix of the same d, add nothing, and it covers no index above
+    the largest one in a product of two linear terms."""
+
+    @pytest.fixture()
+    def table(self, monkeypatch):
+        monkeypatch.setattr(f2poly, "_PAIRS", {})
+        return lambda: {x: dict(row) for x, row in f2poly._PAIRS.items()}
+
+    @staticmethod
+    def theta_factors(rows, n):
+        E = to_pmatrix(BottMatrix.from_row_masks(n, rows))
+        return [(class_alpha_j(E, j), class_beta_j(E, j)) for j in range(1, n + 1)]
+
+    @staticmethod
+    def top_index(table):
+        return max([x[0] for x in table], default=0)
+
+    def test_same_d_adds_nothing(self, table):
+        rng = random.Random(47)
+        first = self.theta_factors(samplers.kahler_rows(12, rng), 12)
+        for alpha, beta in first:
+            alpha * beta
+        built = table()
+        assert built
+        for alpha, beta in first:
+            beta * alpha
+        assert table() == built
+        for alpha, beta in self.theta_factors(samplers.spin_biased_rows(12, rng), 12):
+            alpha * beta
+        after = table()
+        assert after == built
+        # the same objects: nothing was rebuilt
+        assert all(after[x][y] is built[x][y] for x in built for y in built[x])
+
+    def test_no_index_above_the_largest_multiplied(self, table):
+        rng = random.Random(48)
+        largest = 0  # the largest index multiplied so far
+        for alpha, beta in self.theta_factors(samplers.kahler_rows(9, rng), 9):
+            alpha * beta
+            largest = max(largest, *(x[0] for x in alpha.terms | beta.terms))
+            assert self.top_index(table()) <= largest
+        high = F2Polynomial(frozenset({Monomial((20, 21)), Monomial((30,)) * Monomial((31,))}))
+        high * X3  # degree 2 times linear: no pair of linear terms
+        ONE * F2Polynomial.var(40)
+        assert self.top_index(table()) <= 9
+        F2Polynomial.var(12) * (X1 + X2)
+        built = table()
+        assert self.top_index(built) == 12
+        assert all(len(row) == 12 for row in built.values())
+        assert all(x * y == built[x][y] for x in built for y in built[x])
+
+    def test_stops_at_its_bound(self, table, monkeypatch):
+        # the table is quadratic in its largest index: above _PAIRS_MAX
+        # products are built term by term and the table does not grow
+        monkeypatch.setattr(f2poly, "_PAIRS_MAX", 12)
+        above = F2Polynomial.var(13)
+        for p, q in [(above, X1 + X2), (X1 + X2, above), (X3, above + X2)]:
+            assert p * q == _monomial_product(p, q)
+        assert table() == {}
+        assert F2Polynomial.var(12) * (X1 + above) == _monomial_product(F2Polynomial.var(12), X1 + above)
+        assert table() == {}
+        F2Polynomial.var(12) * X1
+        assert self.top_index(table()) == 12
 
 
 class TestGradedPieces:
@@ -521,6 +667,22 @@ class TestRendering:
     def test_matches_reference_rendering(self, p):
         expected = " + ".join(Monomial.__str__(m) for m in sorted(sorted(p.terms), key=len))
         assert str(p) == (expected or "0")
+
+    def test_matches_monomial_sort_on_seeded_polynomials(self):
+        # graded lex: the Monomials in tuple order, then stably by degree
+        every = [
+            Monomial(c)
+            for k in range(4)
+            for c in itertools.combinations_with_replacement(range(1, 8), k)
+        ]
+        rng = random.Random(49)
+        polys = [F2Polynomial(frozenset({m})) for m in every] + [F2Polynomial(frozenset(every))]
+        polys += [F2Polynomial(frozenset(rng.sample(every, rng.randrange(1, 40)))) for _ in range(200)]
+        polys += [_random_poly(rng, rng.randrange(1, 30), range(1, 20)) for _ in range(200)]
+        for p in polys:
+            assert str(p) == (" + ".join(map(str, sorted(sorted(p.terms), key=len))) or "0")
+        quadratic = F2Polynomial(frozenset(m for m in every if len(m) < 3 and m[-1:] <= (3,)))
+        assert str(quadratic) == "1 + x1 + x2 + x3 + x1^2 + x1*x2 + x1*x3 + x2^2 + x2*x3 + x3^2"
 
     def test_zero(self):
         assert str(ZERO) == "0"
