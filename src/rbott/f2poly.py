@@ -105,7 +105,8 @@ def _grow_pairs(d: int) -> None:
 
 
 def _times(a: Monomial, cols: Iterable[Monomial]) -> list[Monomial]:
-    """a*b for every b in cols, from the pair table when a and b are linear."""
+    """a*b for every b in cols, from the pair table when a and b are linear
+    and the table's bound allows."""
     if len(a) == 1:
         row = _PAIRS.get(a)
         if row is not None:

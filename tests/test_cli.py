@@ -754,7 +754,7 @@ COMMANDS_WITH_OUTPUT = (
 @pytest.mark.parametrize(
     "argv,unbuffered",
     [(argv, mode) for argv in COMMANDS_WITH_OUTPUT for mode in ("1", "")]
-    + [(help, mode) for help in (["--help"], ["sw", "--help"]) for mode in ("1", "")],
+    + [(["--help"], ""), (["--help"], "1"), (["sw", "--help"], "1"), (["sw", "--help"], "")],
 )
 def test_closed_stdout_exits_quietly(argv, unbuffered):
     # stdout is a pipe whose read end closed before the start, so the
